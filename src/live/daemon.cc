@@ -1,5 +1,7 @@
 #include "live/daemon.h"
 
+#include <arpa/inet.h>
+
 #include "util/log.h"
 
 namespace mocha::live {
@@ -167,6 +169,9 @@ void DaemonService::control_loop() {
         case replica::kTransferReplica:
           handle_directive(msg->src, reader);
           break;
+        case replica::kNodeAddr:
+          handle_introduction(reader);
+          break;
         case replica::kPollVersion: {
           const auto poll = replica::PollVersionMsg::decode(reader);
           util::Buffer report;
@@ -217,6 +222,16 @@ void DaemonService::control_loop() {
   }
 }
 
+void DaemonService::handle_introduction(util::WireReader& reader) {
+  const auto intro = replica::NodeAddrMsg::decode(reader);
+  if (intro.known == 0) return;
+  in_addr ip{};
+  ip.s_addr = intro.ipv4;  // already network byte order
+  char quad[INET_ADDRSTRLEN] = {};
+  if (::inet_ntop(AF_INET, &ip, quad, sizeof(quad)) == nullptr) return;
+  endpoint_.add_peer(intro.node, quad, intro.udp_port);
+}
+
 void DaemonService::handle_directive(net::NodeId src,
                                      util::WireReader& reader) {
   const auto directive = replica::TransferReplicaMsg::decode(reader);
@@ -265,8 +280,9 @@ void DaemonService::handle_directive(net::NodeId src,
     }
   }
   try {
-    // The directive's envelope taught the endpoint the puller's address, so
-    // dst_site is sendable even if this daemon never configured it.
+    // The server's kNodeAddr introduction (or, for a home-daemon retry, the
+    // directive's own envelope) taught the endpoint the requester's address,
+    // so dst_site is sendable even if this daemon never configured it.
     endpoint_.send(directive.dst_site, directive.dst_port, std::move(data));
   } catch (const std::logic_error&) {
     util::MutexLock lock(mu_);
@@ -374,8 +390,7 @@ void DaemonService::announce_bulk(net::NodeId peer) {
   try {
     endpoint_.send(peer, replica::kDaemonPort, std::move(hello));
   } catch (const std::logic_error&) {
-    // Peer address unknown (caller skipped ensure_peer) — allow a retry
-    // once it is.
+    // Peer address unknown — allow a retry once it is.
     util::MutexLock lock(mu_);
     hello_sent_.erase(peer);
   }
@@ -433,28 +448,35 @@ void DaemonService::apply_bundle(net::NodeId src, util::WireReader& reader,
   const Version version = reader.u64();
   const std::uint32_t count = reader.u32();
   tm_bytes_in_->add(wire_bytes);
+  // Bulk negotiation (§10): the first bundle from a peer rides UDP; from
+  // here on the peer knows where this daemon receives fast bundles. The
+  // hello leaves before the apply wakes the acquirer, so it precedes every
+  // message the acquirer's progress causes.
+  announce_bulk(src);
 
-  util::MutexLock lock(mu_);
-  LockReplicas& lk = lock_replicas(lock_id);
-  if (version < lk.version) {
-    // A duplicate or a straggler from an earlier cycle; applying it would
-    // roll contents back behind what the lock protocol promised.
-    ++stats_.stale_drops;
-    return;
+  {
+    util::MutexLock lock(mu_);
+    LockReplicas& lk = lock_replicas(lock_id);
+    if (version < lk.version) {
+      // A duplicate or a straggler from an earlier cycle; applying it would
+      // roll contents back behind what the lock protocol promised.
+      ++stats_.stale_drops;
+      return;
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::string name = reader.str();
+      util::Buffer payload = reader.bytes();
+      if (!lk.contents.contains(name)) lk.names.push_back(name);
+      lk.contents[name] = std::move(payload);
+    }
+    lk.version = version;
+    ++lk.applied;
+    ++stats_.transfers_applied;
+    tm_transfers_applied_->add();
+    FlightRecorder::record(trace::EventKind::kUpdatePushed, endpoint_.node(),
+                           src, lock_id, static_cast<std::int64_t>(version));
+    version_cv_.notify_all();
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = reader.str();
-    util::Buffer payload = reader.bytes();
-    if (!lk.contents.contains(name)) lk.names.push_back(name);
-    lk.contents[name] = std::move(payload);
-  }
-  lk.version = version;
-  ++lk.applied;
-  ++stats_.transfers_applied;
-  tm_transfers_applied_->add();
-  FlightRecorder::record(trace::EventKind::kUpdatePushed, endpoint_.node(),
-                         src, lock_id, static_cast<std::int64_t>(version));
-  version_cv_.notify_all();
   MOCHA_DEBUG("live") << "daemon " << endpoint_.node() << ": applied lock "
                       << lock_id << " version " << version << " from node "
                       << src;

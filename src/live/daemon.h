@@ -8,12 +8,13 @@
 // fragmented by live::Endpoint, so the adaptive-RTO/NACK fast path covers
 // replica data too.
 //
-// Transfers are pull-based in the live runtime: the client that received a
-// NEED_NEW_VERSION grant sends the transfer directive to the last owner's
-// daemon itself (see live::LockClient), instead of the sync thread doing it
-// as in the sim. The serving daemon learns the puller's UDP address from the
-// directive's datagram envelope, so no prior peer configuration is needed in
-// that direction.
+// Transfers are sync-directed, as in the paper: the lock server sends the
+// kTransferReplica directive to the last owner's daemon together with the
+// NEED_NEW_VERSION grant, and the daemon pushes the bundle straight to the
+// requester's data port (see live::LockServer). A kNodeAddr introduction
+// from the server teaches this daemon's endpoint the address of a requester
+// it has never heard from; a directive from the requester itself (the §4
+// home-daemon retry) carries its address in the datagram envelope.
 //
 // Threading: two background threads (control + data) own the ports; the
 // replica store is mutex-guarded and safe to use from any thread. The
@@ -25,10 +26,13 @@
 // the endpoint; outbound bundles take the fast backend only toward peers
 // whose BULK-HELLO advertised the matching capability, falling back to the
 // endpoint's UDP path on any fast-send failure — so a TCP daemon always
-// interoperates with a UDP-only peer. Two more background threads serve the
-// fast backend: one drains its inbound bundles into the same apply path,
-// one works the outbound send queue (fast sends block for up to the send
-// timeout, which must not stall the control loop).
+// interoperates with a UDP-only peer. The daemon announces itself to a peer
+// the first time it applies a bundle from that peer, so the first bundle
+// between two daemons rides UDP and later ones may take the fast backend.
+// Two more background threads serve the fast backend: one drains its
+// inbound bundles into the same apply path, one works the outbound send
+// queue (fast sends block for up to the send timeout, which must not stall
+// the control loop).
 #pragma once
 
 #include <atomic>
@@ -112,11 +116,6 @@ class DaemonService {
 
   // --- Bulk transport (§10) ---
   BulkBackend bulk_backend() const { return bulk_kind_; }
-  // Fire-and-forget BULK-HELLO toward `peer`, once per peer (endpoint
-  // delivery is per-src in-order, so a hello sent just before a transfer
-  // directive is guaranteed to precede it). No-op on a pure-UDP daemon:
-  // UDP needs no advertisement, absence of a hello *is* the fallback.
-  void announce_bulk(net::NodeId peer) EXCLUDES(mu_);
   // Capability bits this daemon has recorded for `peer` (0 = never heard a
   // hello; the peer is assumed UDP-only).
   std::uint8_t peer_bulk_caps(net::NodeId peer) const EXCLUDES(mu_);
@@ -168,6 +167,13 @@ class DaemonService {
   // `wire_bytes` is the bundle's full payload size, for the byte counters.
   void apply_bundle(net::NodeId src, util::WireReader& reader,
                     std::size_t wire_bytes) EXCLUDES(mu_);
+  // Learns a peer's UDP address from the lock server's kNodeAddr
+  // introduction (sent ahead of a directive toward that peer).
+  void handle_introduction(util::WireReader& reader);
+  // Fire-and-forget BULK-HELLO toward `peer`, once per peer; called when
+  // the first bundle from `peer` is applied. No-op on a pure-UDP daemon:
+  // UDP needs no advertisement, absence of a hello *is* the fallback.
+  void announce_bulk(net::NodeId peer) EXCLUDES(mu_);
   void record_peer_bulk(net::NodeId peer, std::uint8_t backends,
                         std::uint16_t tcp_port, std::uint16_t budp_port)
       EXCLUDES(mu_);

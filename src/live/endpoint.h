@@ -156,7 +156,8 @@ class Endpoint {
   // UDP address of `peer` as currently known — configured via add_peer() or
   // learned from the datagram envelope. ipv4 is in network byte order, port
   // in host order. nullopt when the peer was never registered or heard from.
-  // The lock server answers kResolveNode queries from this table.
+  // The lock server introduces requesters to owners' daemons from this
+  // table (kNodeAddr).
   struct PeerAddr {
     std::uint32_t ipv4 = 0;
     std::uint16_t port = 0;

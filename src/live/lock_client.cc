@@ -30,7 +30,6 @@ LockClient::LockLocal& LockClient::local(replica::LockId lock_id) {
   if (it == locks_.end()) {
     it = locks_.emplace(lock_id, LockLocal{}).first;
     it->second.grant_port = next_port_++;
-    it->second.data_port = next_port_++;
   }
   return it->second;
 }
@@ -41,7 +40,7 @@ net::NodeId LockClient::home_for(replica::LockId lock_id) const {
 
 util::Status LockClient::fetch_shard_map(std::int64_t timeout_us) {
   // A dedicated reply port: the handshake happens before any lock traffic,
-  // but a shared port would let a stale reply bleed into later resolves.
+  // but a shared port would let a stale reply bleed into a later grant.
   const net::Port reply_port = next_port_++;
   util::Buffer query;
   replica::ShardMapRequestMsg{reply_port}.encode(query);
@@ -82,33 +81,6 @@ void LockClient::register_lock(replica::LockId lock_id) {
   endpoint_.send(home_for(lock_id), replica::kSyncPort, std::move(msg));
 }
 
-bool LockClient::ensure_peer(net::NodeId node, net::NodeId via,
-                             net::Port reply_port, std::int64_t timeout_us) {
-  if (endpoint_.knows_peer(node)) return true;
-  util::Buffer query;
-  replica::ResolveNodeMsg{node, reply_port}.encode(query);
-  endpoint_.send(via, replica::kSyncPort, std::move(query));
-
-  const std::int64_t deadline = clock_->now_us() + timeout_us;
-  while (true) {
-    const std::int64_t now = clock_->now_us();
-    if (now >= deadline) return false;
-    auto reply = endpoint_.recv_for(reply_port, deadline - now);
-    if (!reply.has_value()) continue;
-    util::WireReader reader(reply->payload);
-    if (reader.u8() != replica::kNodeAddr) continue;
-    const auto addr = replica::NodeAddrMsg::decode(reader);
-    if (addr.node != node) continue;
-    if (addr.known == 0) return false;
-    in_addr ip{};
-    ip.s_addr = addr.ipv4;  // already network byte order
-    char quad[INET_ADDRSTRLEN] = {};
-    if (::inet_ntop(AF_INET, &ip, quad, sizeof(quad)) == nullptr) return false;
-    endpoint_.add_peer(node, quad, addr.udp_port);
-    return true;
-  }
-}
-
 void LockClient::send_pull_directive(net::NodeId owner,
                                      replica::LockId lock_id,
                                      replica::Version version) {
@@ -122,43 +94,25 @@ void LockClient::send_pull_directive(net::NodeId owner,
   endpoint_.send(owner, replica::kDaemonPort, std::move(msg));
 }
 
-util::Status LockClient::pull_replica(replica::LockId lock_id,
-                                      const LockLocal& lk,
-                                      const replica::GrantMsg& grant) {
+util::Status LockClient::await_replica(replica::LockId lock_id,
+                                       const replica::GrantMsg& grant) {
+  // The server directed the last owner's daemon to push `target` here
+  // together with the grant; the bundle may already have landed.
   const replica::Version target = grant.version;
-  if (daemon_->local_version(lock_id) >= target) {
-    // lastLockOwner in effect: the newest bundle is already here (a
-    // previous hold, or a push that raced the grant). Zero data frames.
-    return util::Status::ok();
-  }
-
-  // Resolve and retry against the shard owning this lock: it is the party
-  // that granted the lock, so its peer table has heard from every holder.
-  const net::NodeId home = home_for(lock_id);
-  const net::NodeId owner = grant.transfer_from;
-  if (owner != 0 && owner != endpoint_.node() &&
-      ensure_peer(owner, home, lk.grant_port, opts_.transfer_timeout_us)) {
-    // Advertise our bulk-receive capabilities before the directive (once per
-    // peer; in-order delivery guarantees the hello lands first), so the
-    // serving daemon may answer over the fast backend (§10).
-    daemon_->announce_bulk(owner);
-    send_pull_directive(owner, lock_id, target);
-    util::Status direct =
-        daemon_->wait_for_version(lock_id, target, opts_.transfer_timeout_us);
-    if (direct.is_ok()) {
-      ++transfers_pulled_;
-      return direct;
-    }
+  util::Status pushed =
+      daemon_->wait_for_version(lock_id, target, opts_.transfer_timeout_us);
+  if (pushed.is_ok()) {
+    ++transfers_pulled_;
+    return pushed;
   }
 
   // §4 fallback: the owner's daemon is unreachable or its bundle never
-  // landed. Retry against the home daemon (the lock server's site),
-  // accepting whatever version it holds — possibly older than `target`
-  // (weakened consistency, mirroring the sim's poll-and-redirect).
+  // landed. Pull from the home daemon (the lock server's site), accepting
+  // whatever version it holds — possibly older than `target` (weakened
+  // consistency, mirroring the sim's poll-and-redirect).
   ++transfer_retries_;
   const std::uint64_t applied_before = daemon_->transfers_applied(lock_id);
-  daemon_->announce_bulk(home);
-  send_pull_directive(home, lock_id, target);
+  send_pull_directive(home_for(lock_id), lock_id, target);
   util::Status retried = daemon_->wait_for_apply(lock_id, applied_before,
                                                  opts_.transfer_timeout_us);
   if (retried.is_ok()) {
@@ -170,7 +124,7 @@ util::Status LockClient::pull_replica(replica::LockId lock_id,
                       "lock " + std::to_string(lock_id) +
                           ": promised replica transfer (version " +
                           std::to_string(target) + " from site " +
-                          std::to_string(owner) +
+                          std::to_string(grant.transfer_from) +
                           ") never arrived, home retry timed out");
 }
 
@@ -194,7 +148,9 @@ util::Status LockClient::acquire(replica::LockId lock_id, LockWireMode mode,
   msg.lock_id = lock_id;
   msg.site = endpoint_.node();
   msg.grant_port = lk.grant_port;
-  msg.data_port = lk.data_port;
+  // The port the owner's daemon pushes to; 0 tells the server this site
+  // has no daemon, so no transfer is directed here.
+  msg.data_port = daemon_ != nullptr ? replica::kDaemonDataPort : 0;
   msg.expected_hold_us = static_cast<std::uint64_t>(
       expected_hold_us != 0 ? expected_hold_us
                             : opts_.default_expected_hold_us);
@@ -233,7 +189,7 @@ util::Status LockClient::acquire(replica::LockId lock_id, LockWireMode mode,
                            home_for(lock_id), lock_id, grant.version, nonce);
 
     if (grant.flag == GrantFlag::kNeedNewVersion && daemon_ != nullptr) {
-      util::Status pulled = pull_replica(lock_id, lk, grant);
+      util::Status pulled = await_replica(lock_id, grant);
       if (pulled.is_ok()) {
         tm_grant_transfer_us_->record(clock_->now_us() - t_grant);
       }
@@ -269,8 +225,8 @@ util::Status LockClient::release(replica::LockId lock_id) {
   lk.shared = false;
 
   // Stamp the daemon before the RELEASE leaves: the server only grants the
-  // next requester after this message arrives, so any pull directed at this
-  // site's daemon finds contents and version already published.
+  // next requester after this message arrives, so any transfer directed at
+  // this site's daemon finds contents and version already published.
   if (daemon_ != nullptr) daemon_->publish(lock_id, new_version);
 
   replica::ReleaseLockMsg msg;

@@ -4,28 +4,28 @@
 //
 // Speaks the exact kAcquireLock / kReleaseLock / kRegisterLock / kGrant
 // messages from replica/wire.h against a live::LockServer. When a
-// DaemonService is attached, a NEED_NEW_VERSION grant triggers a pull-based
-// replica transfer (paper §3: replicas are made consistent exactly when
-// their lock is acquired):
+// DaemonService is attached, a NEED_NEW_VERSION grant means a replica
+// transfer is on its way (paper §3: replicas are made consistent exactly
+// when their lock is acquired):
 //
-//   1. the grant names the last owner (GrantMsg.transfer_from);
-//   2. the client resolves that node's UDP address through the server
-//      (kResolveNode/kNodeAddr) if the endpoint has never heard from it;
-//   3. it sends the §6 kTransferReplica directive to the owner's daemon,
-//      which ships the replica bundle to this node's kDaemonDataPort;
-//   4. acquire() blocks until the daemon has applied the target version.
+//   1. the ACQUIRE carries data_port = kDaemonDataPort, telling the server
+//      this site has a daemon to receive the bundle;
+//   2. together with the grant, the server directs the last owner's daemon
+//      to push the bundle to that port (sync-directed, §6);
+//   3. acquire() blocks until the local daemon has applied the target
+//      version — the push may even land before the grant.
 //
-// If the promised transfer never arrives, the pull is retried once against
-// the home daemon (the lock server's site), accepting whatever version it
-// holds — the §4 weakened-consistency fallback. A second miss fails the
-// acquire with a typed kTimeout (the lock is NOT released locally: the
-// server's lease breaker owns cleanup, same as the sim).
+// If the promised transfer never arrives, the client pulls once from the
+// home daemon (the lock server's site), accepting whatever version it holds
+// — the §4 weakened-consistency fallback. A second miss fails the acquire
+// with a typed kTimeout (the lock is NOT released locally: the server's
+// lease breaker owns cleanup, same as the sim).
 //
-// Without a daemon the old PR-1 behavior is preserved: the client adopts
-// the version number and no data moves.
+// Without a daemon the ACQUIRE carries data_port 0, the server directs no
+// transfer, and the client only adopts the version number.
 //
 // Not thread-safe: one LockClient serves one application thread, matching
-// the per-thread grant/data reply ports of the paper's design.
+// the per-thread grant reply ports of the paper's design.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +43,11 @@ struct LockClientOptions {
   std::int64_t grant_timeout_us = 10'000'000;
   std::int64_t default_expected_hold_us = 500'000;
   // Wait for a promised replica transfer before retrying / failing. Applied
-  // per attempt (direct pull, then home-daemon retry).
+  // per attempt (directed push, then home-daemon retry).
   std::int64_t transfer_timeout_us = 2'000'000;
-  // First per-lock grant/data reply port (runtime::ports::kAppBase). Give
-  // each LockClient sharing one endpoint a disjoint range.
+  // First grant reply port (runtime::ports::kAppBase). The client takes one
+  // port per distinct lock id it touches, plus one for fetch_shard_map();
+  // give each LockClient sharing one endpoint a disjoint range that large.
   net::Port reply_port_base = 1000;
   // Starting nonce. Multiple LockClients sharing one endpoint appear as the
   // same site to the server, whose lease ABA guard keys on (site, nonce) —
@@ -64,8 +65,8 @@ class LockClient {
              LockClientOptions opts = {}, DaemonService* daemon = nullptr);
 
   // Sharded routing (docs/PROTOCOL.md §9): with a shard map installed,
-  // every per-lock message (acquire/release/register/resolve and the
-  // home-daemon retry) goes to the shard owning that lock id; without one,
+  // every per-lock message (acquire/release/register and the home-daemon
+  // retry) goes to the shard owning that lock id; without one,
   // everything goes to the bootstrap `server` (single-shard deployments).
   void set_shard_map(ShardMap map) { shard_map_ = std::move(map); }
   const ShardMap& shard_map() const { return shard_map_; }
@@ -92,7 +93,7 @@ class LockClient {
       std::int64_t expected_hold_us = 0) MOCHA_BLOCKING;
 
   // Releases a held lock; exclusive releases publish version + 1 (stamped
-  // into the attached daemon first, so later pulls see it).
+  // into the attached daemon first, so later transfers serve it).
   util::Status release(replica::LockId lock_id) MOCHA_BLOCKING;
 
   bool held(replica::LockId lock_id) const;
@@ -105,8 +106,9 @@ class LockClient {
 
   std::uint64_t acquires() const { return acquires_; }
   std::uint64_t releases() const { return releases_; }
-  // Replica pulls completed on acquire / retried against the home daemon /
-  // failed outright (typed-timeout acquires).
+  // NEED_NEW_VERSION transfers completed on acquire (the directed push, or
+  // the home-daemon retry) / retried against the home daemon / failed
+  // outright (typed-timeout acquires).
   std::uint64_t transfers_pulled() const { return transfers_pulled_; }
   std::uint64_t transfer_retries() const { return transfer_retries_; }
   std::uint64_t transfer_timeouts() const { return transfer_timeouts_; }
@@ -117,19 +119,15 @@ class LockClient {
     bool shared = false;
     replica::Version version = 0;
     net::Port grant_port = 0;
-    net::Port data_port = 0;
     std::uint64_t nonce = 0;  // of the acquire that holds the lock
   };
 
   LockLocal& local(replica::LockId lock_id);
   // Shard owning `lock_id` — the bootstrap server when no map is installed.
   net::NodeId home_for(replica::LockId lock_id) const;
-  // The NEED_NEW_VERSION pull path; see the file comment for the protocol.
-  util::Status pull_replica(replica::LockId lock_id, const LockLocal& lk,
-                            const replica::GrantMsg& grant);
-  // Makes `node` sendable, asking shard `via` for its address if needed.
-  bool ensure_peer(net::NodeId node, net::NodeId via, net::Port reply_port,
-                   std::int64_t timeout_us);
+  // The NEED_NEW_VERSION wait; see the file comment for the protocol.
+  util::Status await_replica(replica::LockId lock_id,
+                             const replica::GrantMsg& grant);
   void send_pull_directive(net::NodeId owner, replica::LockId lock_id,
                            replica::Version version);
 
@@ -140,7 +138,7 @@ class LockClient {
   DaemonService* daemon_;
   Clock* clock_;
   std::map<replica::LockId, LockLocal> locks_;
-  // Per-thread reply ports, mirroring runtime::ports::kAppBase.
+  // Per-thread grant ports, mirroring runtime::ports::kAppBase.
   net::Port next_port_;
   std::uint64_t nonce_;
   std::int64_t last_grant_latency_us_ = 0;

@@ -24,6 +24,7 @@ LockServer::LockServer(Endpoint& endpoint, LockServerOptions opts)
   tm_releases_ = registry.counter(prefix + "releases");
   tm_lease_breaks_ = registry.counter(prefix + "lease_breaks");
   tm_stats_requests_ = registry.counter(prefix + "stats_requests");
+  tm_transfers_directed_ = registry.counter(prefix + "transfers_directed");
   tm_queue_depth_ = registry.gauge(prefix + "queue_depth");
   tm_active_leases_ = registry.gauge(prefix + "active_leases");
   tm_wait_us_ = registry.histogram(prefix + "wait_us");
@@ -122,25 +123,6 @@ void LockServer::handle(Endpoint::Message msg) {
         lock.holders.insert(reg.site);
         util::MutexLock guard(mu_);
         ++stats_.registrations;
-        break;
-      }
-      case replica::kResolveNode: {
-        // Peer discovery for direct daemon→daemon pulls: this endpoint has
-        // heard from every client (their acquires arrive here), so its peer
-        // table can introduce any two of them to each other.
-        const auto query = replica::ResolveNodeMsg::decode(reader);
-        replica::NodeAddrMsg answer;
-        answer.node = query.node;
-        if (auto addr = endpoint_.peer_addr(query.node); addr.has_value()) {
-          answer.ipv4 = addr->ipv4;
-          answer.udp_port = addr->port;
-          answer.known = 1;
-        }
-        util::Buffer reply;
-        answer.encode(reply);
-        endpoint_.send(msg.src, query.reply_port, std::move(reply));
-        util::MutexLock guard(mu_);
-        ++stats_.resolves;
         break;
       }
       case replica::kShardMapRequest:
@@ -269,10 +251,12 @@ void LockServer::activate(LockState& lock, Request req) {
   // Otherwise the up-to-date set decides whether the requester's copy is
   // current — with UR=1 this degenerates to the paper's lastLockOwner check,
   // and a current requester skips the transfer entirely. A NEED_NEW_VERSION
-  // grant names the last owner as transfer_from; the client pulls the
-  // replica bundle from that site's daemon.
+  // grant names the last owner as transfer_from, and the owner's daemon is
+  // directed to push the bundle. The directive leaves first: it starts the
+  // two-trip push, which the one-trip GRANT then overtakes.
   const bool current =
       lock.version == 0 || lock.up_to_date.contains(req.site);
+  if (!current) direct_transfer(lock, req);
   send_grant(req, lock.version,
              current ? GrantFlag::kVersionOk : GrantFlag::kNeedNewVersion,
              lock.holders, current ? 0 : lock.last_owner.value_or(0));
@@ -298,6 +282,44 @@ void LockServer::send_grant(const Request& req, replica::Version version,
   endpoint_.send(req.site, req.grant_port, std::move(msg));
 }
 
+void LockServer::direct_transfer(const LockState& lock, const Request& req) {
+  // A site without a daemon (data_port 0) can neither serve nor receive a
+  // bundle; a directive would pile up unread on its daemon port. The
+  // requester then waits out its transfer timeout and retries at home.
+  if (req.data_port == 0 || lock.last_owner_data_port == 0) return;
+  // A non-zero last_owner_data_port is only ever set with last_owner.
+  const std::uint32_t owner = *lock.last_owner;
+  if (owner == req.site) return;
+
+  // This endpoint has heard from every client (their acquires arrive here),
+  // so its peer table can introduce the requester to the owner's daemon.
+  // Per-source in-order delivery lands the introduction before the
+  // directive that needs it.
+  if (!introduced_.contains({owner, req.site})) {
+    if (auto addr = endpoint_.peer_addr(req.site); addr.has_value()) {
+      replica::NodeAddrMsg intro;
+      intro.node = req.site;
+      intro.ipv4 = addr->ipv4;
+      intro.udp_port = addr->port;
+      intro.known = 1;
+      util::Buffer msg;
+      intro.encode(msg);
+      endpoint_.send(owner, replica::kDaemonPort, std::move(msg));
+      introduced_.insert({owner, req.site});
+    }
+  }
+
+  replica::TransferReplicaMsg directive;
+  directive.lock_id = lock.id;
+  directive.version = lock.version;
+  directive.dst_site = req.site;
+  directive.dst_port = req.data_port;
+  util::Buffer msg;
+  directive.encode(msg);
+  endpoint_.send(owner, replica::kDaemonPort, std::move(msg));
+  tm_transfers_directed_->add();
+}
+
 void LockServer::handle_release(util::WireReader& reader) {
   const auto msg = replica::ReleaseLockMsg::decode(reader);
   auto it = locks_.find(msg.lock_id);
@@ -307,7 +329,9 @@ void LockServer::handle_release(util::WireReader& reader) {
   auto active_it = std::find_if(
       lock.active.begin(), lock.active.end(),
       [&](const Request& r) { return r.site == msg.site; });
+  net::Port data_port = 0;
   if (active_it != lock.active.end()) {
+    data_port = active_it->data_port;
     reactor_.cancel(active_it->lease_timer);
     tm_hold_us_->record(Clock::monotonic().now_us() -
                         active_it->granted_at_us);
@@ -331,6 +355,7 @@ void LockServer::handle_release(util::WireReader& reader) {
   if (msg.mode == LockWireMode::kExclusive) {
     lock.version = msg.new_version;
     lock.last_owner = msg.site;
+    lock.last_owner_data_port = data_port;
     lock.up_to_date.clear();
     lock.up_to_date.insert(msg.up_to_date.begin(), msg.up_to_date.end());
   } else {

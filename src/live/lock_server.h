@@ -22,17 +22,22 @@
 // route; with no map configured it serves everything (single-shard, wire-
 // compatible with pre-shard clients).
 //
-// NEED_NEW_VERSION grants name the last owner (GrantMsg.transfer_from); the
-// requesting client pulls the replica bundle from that site's daemon
-// directly (live::DaemonService), with the server additionally answering
-// kResolveNode address queries so two clients that have never exchanged a
-// datagram can find each other. Registered holders per lock are tracked as
-// groundwork for UR push.
+// Sync-directed replica transfer (paper §3/§6, docs/PROTOCOL.md §8): when
+// activate() sends a NEED_NEW_VERSION grant it also sends, in the same
+// reactor turn, a kTransferReplica directive to the last owner's daemon
+// port, so the owner's daemon pushes the bundle to the requester while the
+// GRANT is still in flight — three one-way trips per hand-off instead of the
+// four of a requester-driven pull. Only daemon sites take part (an ACQUIRE
+// with data_port 0 has no daemon). The first time an owner is directed
+// toward a given requester, a kNodeAddr introduction from this endpoint's
+// peer table precedes the directive, so two sites that never exchanged a
+// datagram still find each other. Registered holders per lock are tracked
+// as groundwork for UR push.
 //
 // Not yet carried over from the sim service (see docs/PROTOCOL.md §8):
-// sync-directed transfers with poll-and-redirect on daemon failure, and the
-// heartbeat confirm before a lease break — an expired lease breaks the lock
-// directly.
+// poll-and-redirect on daemon failure (the requester falls back to the home
+// daemon itself), and the heartbeat confirm before a lease break — an
+// expired lease breaks the lock directly.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +46,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "live/endpoint.h"
@@ -75,7 +81,6 @@ class MOCHA_REACTOR_SAFE LockServer {
     std::uint64_t releases = 0;
     std::uint64_t locks_broken = 0;
     std::uint64_t registrations = 0;
-    std::uint64_t resolves = 0;  // kResolveNode address queries answered
     std::uint64_t shard_map_requests = 0;
     // Gauges: current queue depth / lease population of this shard.
     std::uint64_t queued_waiters = 0;
@@ -127,6 +132,8 @@ class MOCHA_REACTOR_SAFE LockServer {
     std::deque<Request> waiting;
     replica::Version version = 0;
     std::optional<std::uint32_t> last_owner;  // last *writer*
+    // data_port of the last writer's ACQUIRE; 0 = that site has no daemon.
+    net::Port last_owner_data_port = 0;
     std::set<std::uint32_t> up_to_date;       // sites holding `version`
     std::set<std::uint32_t> holders;          // registered replica holders
     bool has_active_exclusive() const {
@@ -154,6 +161,10 @@ class MOCHA_REACTOR_SAFE LockServer {
                   replica::GrantFlag flag,
                   const std::set<std::uint32_t>& holders,
                   std::uint32_t transfer_from = 0) MOCHA_REACTOR_ONLY;
+  // Directs the last owner's daemon to push the replica to `req` (non-
+  // blocking send; introduces the requester first when needed).
+  void direct_transfer(const LockState& lock, const Request& req)
+      MOCHA_REACTOR_ONLY;
   // §4 lease breaker, fired by the request's reactor timer. The (site,
   // nonce) pair guards against ABA: a timer racing a release + re-acquire of
   // the same site must not break the new hold.
@@ -177,6 +188,8 @@ class MOCHA_REACTOR_SAFE LockServer {
   ShardMap shard_map_;
   std::uint64_t queued_waiters_ = 0;  // incremental gauges, reactor thread
   std::uint64_t active_leases_ = 0;
+  // (owner, requester) pairs whose kNodeAddr introduction was sent.
+  std::set<std::pair<std::uint32_t, std::uint32_t>> introduced_;
 
   mutable util::Mutex mu_;
   // Cross-thread observable state: the reactor thread publishes, stats() /
@@ -191,6 +204,7 @@ class MOCHA_REACTOR_SAFE LockServer {
   Counter* tm_releases_ = nullptr;
   Counter* tm_lease_breaks_ = nullptr;
   Counter* tm_stats_requests_ = nullptr;
+  Counter* tm_transfers_directed_ = nullptr;
   Gauge* tm_queue_depth_ = nullptr;
   Gauge* tm_active_leases_ = nullptr;
   Histogram* tm_wait_us_ = nullptr;

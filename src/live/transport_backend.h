@@ -1,6 +1,6 @@
 // live::TransportBackend — the pluggable daemon→daemon bulk path (§10).
 //
-// The paper's hybrid protocol keeps control traffic (grants, resolves,
+// The paper's hybrid protocol keeps control traffic (grants, introductions,
 // directives, shard-map) on the MochaNet UDP library while bulk replica
 // payloads may ride a different mechanism. This interface factors the bulk
 // hop out of live::DaemonService so the mechanisms are swappable and

@@ -62,11 +62,12 @@ enum MsgType : std::uint8_t {
   kRefreshReply = 21,
   // sync -> application thread (grant port)
   kGrant = 22,
-  // Live-runtime peer discovery (§8): a node that must pull a replica from a
-  // daemon it has never exchanged datagrams with asks the lock server (whose
-  // endpoint learned every client's UDP address from the datagram envelope)
-  // where that node lives.
-  kResolveNode = 23,
+  // 23 is reserved: it was kResolveNode, the live client's address query,
+  // retired when transfers became sync-directed. Never reuse it.
+  // Live-runtime peer introduction (§8): before directing a daemon to push
+  // a replica to a site it may never have exchanged datagrams with, the
+  // lock server (whose endpoint learned every client's UDP address from the
+  // datagram envelope) tells that daemon where the site lives.
   kNodeAddr = 24,
   // Sharded lock directory (§9): at registration a client asks its bootstrap
   // shard for the deployment's shard map; the reply lists every shard's
@@ -101,7 +102,8 @@ constexpr std::uint8_t kBulkCapBatchedUdp = 1u << 2;
 // blacklist refinement).
 enum class GrantFlag : std::uint8_t {
   kVersionOk = 0,      // requester already has the newest version
-  kNeedNewVersion = 1, // a replica transfer is on its way
+  kNeedNewVersion = 1, // the sync thread directed transfer_from's daemon to
+                       // push the replica; it is on its way
   kRejected = 2,       // requester was blacklisted after a broken lock
 };
 
@@ -208,7 +210,7 @@ struct GrantMsg {
   Version version = 0;
   GrantFlag flag = GrantFlag::kVersionOk;
   // Site whose daemon holds `version` (the last lock owner); 0 when unknown.
-  // With kNeedNewVersion the requester pulls the replica from this site.
+  // With kNeedNewVersion this site's daemon pushes the replica.
   std::uint32_t transfer_from = 0;
   std::vector<std::uint32_t> holders;  // registered replica-holder sites
 
@@ -237,9 +239,9 @@ struct GrantMsg {
   }
 };
 
-// kTransferReplica: sync thread (sim) or pulling client (live) -> the daemon
-// holding the newest copy. Directs it to send lock_id's replica bundle to
-// (dst_site, dst_port) over the data path.
+// kTransferReplica: sync thread (sim and live), or a live client retrying
+// at its home daemon -> the daemon holding the newest copy. Directs it to
+// send lock_id's replica bundle to (dst_site, dst_port) over the data path.
 struct TransferReplicaMsg {
   LockId lock_id = 0;
   Version version = 0;      // version the sender believes the daemon holds
@@ -306,28 +308,10 @@ struct VersionReportMsg {
   }
 };
 
-// kResolveNode: live client -> lock server ("what UDP address is node N?").
-struct ResolveNodeMsg {
-  std::uint32_t node = 0;
-  net::Port reply_port = 0;
-
-  void encode(util::Buffer& out) const {
-    util::WireWriter writer(out);
-    writer.u8(kResolveNode);
-    writer.u32(node);
-    writer.u16(reply_port);
-  }
-  static ResolveNodeMsg decode(util::WireReader& reader) {
-    ResolveNodeMsg msg;
-    msg.node = reader.u32();
-    msg.reply_port = reader.u16();
-    return msg;
-  }
-};
-
-// kNodeAddr: lock server -> live client, answer to kResolveNode. ipv4 is in
-// network byte order (as stored in sockaddr_in); known=0 means the server has
-// never heard from that node and ipv4/udp_port are meaningless.
+// kNodeAddr: live lock server -> daemon, introducing `node` ahead of a
+// transfer directive toward it. ipv4 is in network byte order (as stored in
+// sockaddr_in); known=0 means the sender has never heard from that node and
+// ipv4/udp_port are meaningless.
 struct NodeAddrMsg {
   std::uint32_t node = 0;
   std::uint32_t ipv4 = 0;

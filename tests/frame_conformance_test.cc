@@ -272,20 +272,6 @@ TEST(LockWireCodec, VersionReportRoundTrip) {
   EXPECT_EQ(decoded.version, msg.version);
 }
 
-TEST(LockWireCodec, ResolveNodeRoundTrip) {
-  replica::ResolveNodeMsg msg;
-  msg.node = 7;
-  msg.reply_port = 1003;
-
-  util::Buffer wire;
-  msg.encode(wire);
-  util::WireReader reader(wire);
-  ASSERT_EQ(reader.u8(), replica::kResolveNode);
-  const auto decoded = replica::ResolveNodeMsg::decode(reader);
-  EXPECT_EQ(decoded.node, msg.node);
-  EXPECT_EQ(decoded.reply_port, msg.reply_port);
-}
-
 TEST(LockWireCodec, NodeAddrRoundTrip) {
   replica::NodeAddrMsg msg;
   msg.node = 7;

@@ -268,6 +268,20 @@ struct Site {
   LockClient client;
 };
 
+// Polls `done` until it holds or the (scaled) deadline passes. BULK-HELLO
+// and its ack travel after the bundle that triggered them, so a test that
+// inspects negotiated capabilities right after acquire() must wait.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(5 * time_scale());
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   Endpoint server_ep(kServer, 0);
   LockServer server(server_ep);
@@ -283,8 +297,18 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   a.daemon.write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
 
-  // B's pull announces its TCP capability first (hello-before-directive via
-  // in-order delivery), so A's daemon serves the bundle over TCP bulk.
+  // The first bundle A pushes to B rides UDP: B has not advertised yet. On
+  // applying it, B announces its TCP capability to A.
+  ASSERT_TRUE(b.client.acquire(kLock).is_ok());
+  EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
+  EXPECT_EQ(a.daemon.stats().bulk_fast_served, 0u);
+  ASSERT_TRUE(b.client.release(kLock).is_ok());
+
+  // B -> A, then A -> B again. The hello left B before B's release, and A's
+  // control port serves it ahead of the directive that follows from the
+  // server, so A's second push to B rides the TCP bulk path.
+  ASSERT_TRUE(a.client.acquire(kLock).is_ok());
+  ASSERT_TRUE(a.client.release(kLock).is_ok());
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
   EXPECT_EQ(a.daemon.stats().bulk_fast_served, 1u);
@@ -296,6 +320,7 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   EXPECT_TRUE(a.daemon.drain_bulk(2'000'000LL * time_scale()));
+  EXPECT_TRUE(b.daemon.drain_bulk(2'000'000LL * time_scale()));
   server.stop();
 }
 
@@ -304,7 +329,7 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   LockServer server(server_ep);
   server.start();
 
-  // A is UDP-only (an "old binary"); B pulls with the TCP backend enabled.
+  // A is UDP-only (an "old binary"); B receives with the TCP backend enabled.
   Site a(2, server_ep.udp_port(), BulkBackend::kUdp);
   Site b(3, server_ep.udp_port(), BulkBackend::kTcp);
   const util::Buffer written = make_payload(65536, 12);
@@ -315,17 +340,19 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   a.daemon.write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
 
-  // The transfer still completes — over the MochaNet data port, because A
-  // has no fast backend to answer B's advertisement with.
+  // The transfer completes over the MochaNet data port, and B's later
+  // advertisement changes nothing: A has no fast backend to use it with.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
   EXPECT_EQ(a.daemon.stats().bulk_fast_served, 0u);
   EXPECT_EQ(a.daemon.stats().transfers_served, 1u);
   // A still recorded B's hello (capabilities survive for a later upgrade),
   // and B heard back that A is UDP-only.
-  EXPECT_EQ(a.daemon.peer_bulk_caps(3) & replica::kBulkCapTcp,
-            replica::kBulkCapTcp);
-  EXPECT_EQ(b.daemon.peer_bulk_caps(2), replica::kBulkCapUdp);
+  EXPECT_TRUE(eventually([&] {
+    return (a.daemon.peer_bulk_caps(3) & replica::kBulkCapTcp) != 0;
+  }));
+  EXPECT_TRUE(eventually(
+      [&] { return b.daemon.peer_bulk_caps(2) == replica::kBulkCapUdp; }));
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   server.stop();

@@ -194,6 +194,75 @@ TEST(LiveShard, TwoShardsSixClientsMutualExclusion) {
   EXPECT_GE(json_int(stats_json, "max_epoll_batch", shard1_row), 1);
 }
 
+// Many simulated clients in one process over a wide Zipf lock space: each
+// client touches far more lock ids than the old fixed 64-port reply range
+// held, so overlapping ranges would cross-deliver grants between clients
+// (lost updates, broken leases). Every round must land exactly once.
+TEST(LiveShard, WideLockSpaceKeepsClientReplyPortsDisjoint) {
+  constexpr int kClients = 4;
+  constexpr long long kRounds = 300;
+  constexpr long long kLockSpace = 1024;
+  constexpr long long kFirstLock = 1;
+
+  char tmpl[] = "/tmp/mocha_live_wide_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string ready = dir + "/ready";
+  const std::string stats = dir + "/stats.json";
+
+  const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
+                              "--shards", "2", "--ready-file", ready,
+                              "--stats-file", stats, "--quiet"});
+  std::string port_0;
+  for (int i = 0; i < 100 && port_0.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::istringstream(slurp(ready)) >> port_0;
+  }
+  if (port_0.empty()) {
+    kill(server, SIGKILL);
+    join(server);
+    FAIL() << "sharded lock server never became ready";
+  }
+
+  const pid_t client = spawn({MOCHA_LIVE_BIN, "--client", "--site", "2",
+                              "--server-addr", "127.0.0.1:" + port_0,
+                              "--clients", std::to_string(kClients), "--lock",
+                              std::to_string(kFirstLock), "--lock-space",
+                              std::to_string(kLockSpace), "--zipf-s", "0.99",
+                              "--rounds", std::to_string(kRounds),
+                              "--counter-dir", dir, "--quiet"});
+  EXPECT_EQ(join(client), 0) << "client process failed";
+  kill(server, SIGTERM);
+  EXPECT_EQ(join(server), 0);
+
+  long long counted = 0;
+  int locks_touched = 0;
+  for (long long id = kFirstLock; id < kFirstLock + kLockSpace; ++id) {
+    const std::string text = slurp(dir + "/counter_" + std::to_string(id));
+    if (text.empty()) continue;
+    counted += std::stoll(text);
+    ++locks_touched;
+  }
+  EXPECT_EQ(counted, kClients * kRounds);
+  // Far more lock ids than the 32 that fit two ports each in 64.
+  EXPECT_GT(locks_touched, 64);
+
+  const std::string stats_json = slurp(stats);
+  EXPECT_EQ(json_int(stats_json, "grants"), kClients * kRounds);
+  EXPECT_EQ(json_int(stats_json, "releases"), kClients * kRounds);
+  EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
+}
+
+// A client process whose reply-port ranges would run past the 16-bit port
+// space refuses to start instead of wrapping ranges onto each other.
+TEST(LiveShard, ReplyPortOverflowIsRejected) {
+  const pid_t client = spawn({MOCHA_LIVE_BIN, "--client", "--site", "2",
+                              "--server-addr", "127.0.0.1:9", "--clients", "64",
+                              "--lock-space", "1024", "--rounds", "1",
+                              "--quiet"});
+  EXPECT_EQ(join(client), 64);
+}
+
 // A lock id must route identically no matter which party computes the map:
 // this is the §9 routing invariant the wire protocol cannot check at
 // runtime. Guards shard_hash64 / kRingSalt / kVirtualNodes against drift.

@@ -1,10 +1,12 @@
-// Live replica-transfer tests: the pull-based §6 transfer path over real
+// Live replica-transfer tests: the sync-directed §6 transfer path over real
 // UDP sockets (live::DaemonService + live::LockClient + live::LockServer).
 //
-// In-process tests wire three endpoints on the loopback interface — lock
-// server (node 1, optionally with a "home" daemon) plus two clients — and
-// exercise the grant-driven pull, the lastLockOwner short-circuit, the
-// home-daemon retry, and the typed timeout when no daemon ever answers.
+// In-process tests wire endpoints on the loopback interface — lock server
+// (node 1, optionally with a "home" daemon) plus two or three clients — and
+// exercise the push the server directs with every NEED_NEW_VERSION grant,
+// the lastLockOwner short-circuit, daemon-less requesters, shared-reader
+// batches, the home-daemon retry, and the typed timeout when no daemon ever
+// answers.
 //
 // The multi-process test forks the mocha_live CLI (MOCHA_LIVE_BIN) as one
 // server and two --replica-bytes clients ping-ponging an exclusive lock at
@@ -78,7 +80,18 @@ LockClientOptions scaled_options() {
   return opts;
 }
 
-TEST(LiveTransfer, PullOnGrantMovesReplicaBytes) {
+// Server-registry count of transfer directives sent by shard 0 (the
+// registry is process-global, so tests compare before/after deltas).
+std::uint64_t transfers_directed() {
+  Counter* directed =
+      MetricsRegistry::global().counter("shard.0.transfers_directed");
+  return directed->value();
+}
+
+// The two clients never exchange a datagram before the transfer: the server
+// introduces B to A's daemon (kNodeAddr) and directs A's daemon to push the
+// bundle together with B's NEED_NEW_VERSION grant.
+TEST(LiveTransfer, DirectedPushReachesSiteTheOwnerNeverHeardFrom) {
   Endpoint server_ep(kServer, 0);
   LockServer server(server_ep);
   server.start();
@@ -88,16 +101,17 @@ TEST(LiveTransfer, PullOnGrantMovesReplicaBytes) {
   const util::Buffer written = make_payload(4096, 11);
   a.daemon.register_replica(kLock, "replica", util::Buffer{});
   b.daemon.register_replica(kLock, "replica", util::Buffer{});
+  const std::uint64_t directed_before = transfers_directed();
 
-  // A: first acquire (version 0 -> VERSIONOK, nothing to pull), write,
+  // A: first acquire (version 0 -> VERSIONOK, nothing to move), write,
   // release at version 1.
   ASSERT_TRUE(a.client.acquire(kLock).is_ok());
   a.daemon.write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
   EXPECT_EQ(a.client.transfers_pulled(), 0u);
+  EXPECT_FALSE(a.endpoint.knows_peer(3));
+  EXPECT_FALSE(b.endpoint.knows_peer(2));
 
-  // B: NEED_NEW_VERSION grant names A; B resolves A through the server and
-  // pulls the bundle from A's daemon directly.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.client.version(kLock), 1u);
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
@@ -105,8 +119,92 @@ TEST(LiveTransfer, PullOnGrantMovesReplicaBytes) {
   EXPECT_EQ(b.client.transfer_retries(), 0u);
   EXPECT_EQ(b.daemon.stats().transfers_applied, 1u);
   EXPECT_EQ(a.daemon.stats().transfers_served, 1u);
-  EXPECT_GE(server.stats().resolves, 1u);
+  EXPECT_EQ(transfers_directed() - directed_before, 1u);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
+
+  server.stop();
+}
+
+// A requester without a daemon sends data_port 0: the server directs no
+// transfer (nothing could receive it), and the client adopts the version.
+TEST(LiveTransfer, DaemonlessRequesterGetsNoDirective) {
+  Endpoint server_ep(kServer, 0);
+  LockServer server(server_ep);
+  server.start();
+
+  Site a(2, server_ep.udp_port(), scaled_options());
+  a.daemon.register_replica(kLock, "replica", util::Buffer{});
+  Endpoint plain_ep(3, 0);
+  plain_ep.add_peer(kServer, "127.0.0.1", server_ep.udp_port());
+  LockClient plain(plain_ep, kServer, scaled_options());
+  const std::uint64_t directed_before = transfers_directed();
+
+  ASSERT_TRUE(a.client.acquire(kLock).is_ok());
+  a.daemon.write(kLock, "replica", make_payload(1024, 7));
+  ASSERT_TRUE(a.client.release(kLock).is_ok());
+
+  ASSERT_TRUE(plain.acquire(kLock).is_ok());
+  EXPECT_EQ(plain.version(kLock), 1u);
+  EXPECT_EQ(plain.transfers_pulled(), 0u);
+  EXPECT_EQ(transfers_directed() - directed_before, 0u);
+  EXPECT_EQ(a.daemon.stats().transfers_served, 0u);
+  ASSERT_TRUE(plain.release(kLock).is_ok());
+
+  server.stop();
+}
+
+// Two shared readers queued behind a writer are granted in one batch; the
+// server directs one push per reader, and each reader's daemon applies it.
+TEST(LiveTransfer, SharedReadersGrantedInOneBatchEachGetTheBundle) {
+  Endpoint server_ep(kServer, 0);
+  LockServer server(server_ep);
+  server.start();
+
+  Site a(2, server_ep.udp_port(), scaled_options());
+  Site b(3, server_ep.udp_port(), scaled_options());
+  Site c(4, server_ep.udp_port(), scaled_options());
+  const util::Buffer written = make_payload(8192, 17);
+  for (Site* site : {&a, &b, &c}) {
+    site->daemon.register_replica(kLock, "replica", util::Buffer{});
+  }
+  ASSERT_TRUE(a.client.acquire(kLock).is_ok());
+  a.daemon.write(kLock, "replica", written);
+  ASSERT_TRUE(a.client.release(kLock).is_ok());
+
+  // A holds the lock again while both readers queue behind it.
+  ASSERT_TRUE(a.client.acquire(kLock).is_ok());
+  util::Status read_b;
+  util::Status read_c;
+  std::thread reader_b([&] {
+    read_b = b.client.acquire(kLock, replica::LockWireMode::kShared);
+  });
+  std::thread reader_c([&] {
+    read_c = c.client.acquire(kLock, replica::LockWireMode::kShared);
+  });
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(5 * time_scale());
+  while (server.stats().queued_waiters < 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().queued_waiters, 2u);
+  const std::uint64_t directed_before = transfers_directed();
+  ASSERT_TRUE(a.client.release(kLock).is_ok());
+  reader_b.join();
+  reader_c.join();
+
+  ASSERT_TRUE(read_b.is_ok()) << read_b.to_string();
+  ASSERT_TRUE(read_c.is_ok()) << read_c.to_string();
+  EXPECT_EQ(b.client.version(kLock), 2u);
+  EXPECT_EQ(c.client.version(kLock), 2u);
+  EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
+  EXPECT_EQ(c.daemon.read(kLock, "replica"), written);
+  EXPECT_EQ(b.client.transfer_retries(), 0u);
+  EXPECT_EQ(c.client.transfer_retries(), 0u);
+  EXPECT_EQ(transfers_directed() - directed_before, 2u);
+  EXPECT_EQ(a.daemon.stats().transfers_served, 2u);
+  ASSERT_TRUE(b.client.release(kLock).is_ok());
+  ASSERT_TRUE(c.client.release(kLock).is_ok());
 
   server.stop();
 }
@@ -312,9 +410,6 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
 
   const std::string stats_json = slurp(stats);
   EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
-  // Each client resolves the other's address at most once; at least one
-  // resolve proves the pull path (not a pre-wired peer table) moved data.
-  EXPECT_GE(json_int(stats_json, "resolves"), 1);
 
   const std::string bench = slurp(dir + "/BENCH_live_transfer.json");
   ASSERT_FALSE(bench.empty()) << "BENCH_live_transfer.json not written";

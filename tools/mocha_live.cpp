@@ -60,7 +60,7 @@
 // transfer on every acquire (live::DaemonService; the wall-clock twin of the
 // paper's Figs. 9-14 entry-consistency measurements). --replica-bytes takes
 // a comma-separated size list; size i uses lock id --lock + i and one
-// replica named "replica". Each round acquires (wall-clocked: grant + pull),
+// replica named "replica". Each round acquires (wall-clocked: grant + push),
 // rewrites the replica, releases. With two ping-ponging clients every
 // acquire needs a transfer:
 //   mocha_live --client --site 2 --server-addr 127.0.0.1:7000 --rounds 30
@@ -775,7 +775,6 @@ int run_server(const Args& args) {
     total.releases += stats.releases;
     total.locks_broken += stats.locks_broken;
     total.registrations += stats.registrations;
-    total.resolves += stats.resolves;
     total.shard_map_requests += stats.shard_map_requests;
     daemon_total.transfers_served += daemon_stats.transfers_served;
     daemon_total.transfers_applied += daemon_stats.transfers_applied;
@@ -794,7 +793,6 @@ int run_server(const Args& args) {
         << "  \"releases\": " << total.releases << ",\n"
         << "  \"locks_broken\": " << total.locks_broken << ",\n"
         << "  \"registrations\": " << total.registrations << ",\n"
-        << "  \"resolves\": " << total.resolves << ",\n"
         << "  \"shard_map_requests\": " << total.shard_map_requests << ",\n"
         << "  \"transfers_served\": " << daemon_total.transfers_served
         << ",\n"
@@ -815,7 +813,6 @@ int run_server(const Args& args) {
           << ", \"releases\": " << s.releases
           << ", \"locks_broken\": " << s.locks_broken
           << ", \"registrations\": " << s.registrations
-          << ", \"resolves\": " << s.resolves
           << ", \"shard_map_requests\": " << s.shard_map_requests
           << ", \"queued_waiters\": " << s.queued_waiters
           << ", \"active_leases\": " << s.active_leases
@@ -1037,9 +1034,10 @@ bool version_barrier(mocha::live::LockClient& plain,
 }
 
 // Replica workload: entry-consistency rounds with a live daemon attached —
-// every NEED_NEW_VERSION acquire pulls the replica bundle from the previous
-// owner's daemon before returning. The measured latency is the full
-// acquire-with-transfer (grant round trip + directive + bundle transfer).
+// every NEED_NEW_VERSION acquire waits for the replica bundle the server
+// directs the previous owner's daemon to push. The measured latency is the
+// full acquire-with-transfer (grant round trip, plus the push that left
+// with the grant).
 int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
                 const mocha::live::ShardMap& shard_map) {
   const std::vector<std::uint64_t> sizes = parse_sizes(args.replica_bytes);
@@ -1103,7 +1101,7 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
   }
 
   // Arrival barrier: nobody starts the final sync until every client's
-  // rounds are done, so the shared acquires below pull the globally last
+  // rounds are done, so the shared acquires below receive the globally last
   // write. The barrier rides version numbers only (transfer-less client on
   // a disjoint reply-port range) — a replica-based rendezvous would race
   // with process exits.
@@ -1120,7 +1118,7 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
     return 1;
   }
 
-  // Final shared round: readers pull the newest version without bumping it,
+  // Final shared round: readers get the newest version without bumping it,
   // leaving every client's daemon with identical bytes for the dump.
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const mocha::replica::LockId lock_id =
@@ -1134,7 +1132,7 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
   }
 
   // Departure barrier: every process keeps its daemon serving until all
-  // peers finished their final sync — otherwise a slower client's pull
+  // peers finished their final sync — otherwise a slower client's transfer
   // could target a daemon whose process already exited.
   if (args.replica_barrier > 0 &&
       !version_barrier(plain, depart_lock, args.replica_barrier)) {
@@ -1268,10 +1266,32 @@ void scenario_sleep_us(std::int64_t duration_us) {
   }
 }
 
+// Reply ports of the simulated clients (--clients): a LockClient takes one
+// grant port per distinct lock id it touches, so client c owns
+// [kReplyPortBase + c*span, kReplyPortBase + (c+1)*span), span being the
+// number of lock ids one client can draw.
+constexpr long long kReplyPortBase = 1000;
+
+long long reply_port_span(const Args& args) {
+  return std::max(1, args.lock_space);
+}
+
 int run_client(const Args& args) {
   const auto colon = args.server_addr.rfind(':');
   if (colon == std::string::npos) {
     std::fprintf(stderr, "--server-addr must be HOST:PORT\n");
+    return 64;
+  }
+  // Ranges that ran past the 16-bit port space would wrap onto each other
+  // and cross-deliver grants between simulated clients.
+  const long long reply_ports =
+      std::max(1, args.clients) * reply_port_span(args);
+  if (kReplyPortBase + reply_ports > 65536) {
+    std::fprintf(stderr,
+                 "client %u: --clients %d x --lock-space %d needs %lld "
+                 "reply ports from %lld, past the 16-bit port space\n",
+                 args.site, args.clients, args.lock_space, reply_ports,
+                 kReplyPortBase);
     return 64;
   }
   if (args.start_delay_us > 0) scenario_sleep_us(args.start_delay_us);
@@ -1311,6 +1331,7 @@ int run_client(const Args& args) {
   const auto mode = args.shared ? mocha::replica::LockWireMode::kShared
                                 : mocha::replica::LockWireMode::kExclusive;
   const int clients = std::max(1, args.clients);
+  const long long port_span = reply_port_span(args);
 
   // Scenario workloads (docs/SCENARIOS.md): with --lock-space N > 1 each
   // round draws its lock id from the Zipf CDF instead of using one fixed
@@ -1342,7 +1363,7 @@ int run_client(const Args& args) {
       }
       mocha::live::LockClientOptions copts;
       copts.reply_port_base =
-          static_cast<mocha::net::Port>(1000 + c * 64);
+          static_cast<mocha::net::Port>(kReplyPortBase + c * port_span);
       copts.nonce_seed = static_cast<std::uint64_t>(copts.reply_port_base)
                          << 32;
       if (args.grant_timeout_us > 0) {
