@@ -39,10 +39,12 @@ DaemonService::DaemonService(Endpoint& endpoint, BulkBackend bulk)
   MetricsRegistry& registry = MetricsRegistry::global();
   tm_transfers_served_ = registry.counter(prefix + "transfers_served");
   tm_transfers_applied_ = registry.counter(prefix + "transfers_applied");
+  tm_stale_drops_ = registry.counter(prefix + "stale_drops");
   tm_bytes_out_ = registry.counter(prefix + "bytes_out");
   tm_bytes_in_ = registry.counter(prefix + "bytes_in");
   tm_bulk_fallbacks_ = registry.counter(prefix + "bulk_fallbacks");
   tm_bundle_send_us_ = registry.histogram(prefix + "bundle_send_us");
+  base_ = stats();  // base_ is still zero here: the raw counter values
 }
 
 DaemonService::~DaemonService() { stop(); }
@@ -155,8 +157,13 @@ std::uint64_t DaemonService::transfers_applied(LockId lock_id) const {
 }
 
 DaemonService::Stats DaemonService::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
+  Stats s;
+  s.transfers_served = tm_transfers_served_->value() - base_.transfers_served;
+  s.transfers_applied =
+      tm_transfers_applied_->value() - base_.transfers_applied;
+  s.stale_drops = tm_stale_drops_->value() - base_.stale_drops;
+  s.bulk_fallbacks = tm_bulk_fallbacks_->value() - base_.bulk_fallbacks;
+  return s;
 }
 
 void DaemonService::control_loop() {
@@ -179,8 +186,6 @@ void DaemonService::control_loop() {
                                     local_version(poll.lock_id)}
               .encode(report);
           endpoint_.send(msg->src, poll.reply_port, std::move(report));
-          util::MutexLock lock(mu_);
-          ++stats_.polls_answered;
           break;
         }
         case replica::kHeartbeat:
@@ -189,24 +194,17 @@ void DaemonService::control_loop() {
           break;
         case replica::kBulkHello: {
           const auto hello = replica::BulkHelloMsg::decode(reader);
-          record_peer_bulk(msg->src, hello.backends, hello.tcp_port,
-                           hello.budp_port);
+          record_peer_bulk(msg->src, hello.backends, hello.tcp_port);
           util::Buffer ack;
           replica::BulkHelloAckMsg{endpoint_.node(), own_bulk_caps(),
-                                   bulk_kind_ == BulkBackend::kTcp
-                                       ? fast_bulk_->contact_port()
-                                       : std::uint16_t{0},
-                                   bulk_kind_ == BulkBackend::kBatchedUdp
-                                       ? fast_bulk_->contact_port()
-                                       : std::uint16_t{0}}
+                                   own_bulk_port()}
               .encode(ack);
           endpoint_.send(msg->src, replica::kDaemonPort, std::move(ack));
           break;
         }
         case replica::kBulkHelloAck: {
           const auto ack = replica::BulkHelloAckMsg::decode(reader);
-          record_peer_bulk(msg->src, ack.backends, ack.tcp_port,
-                           ack.budp_port);
+          record_peer_bulk(msg->src, ack.backends, ack.tcp_port);
           break;
         }
         default:
@@ -235,6 +233,18 @@ void DaemonService::handle_introduction(util::WireReader& reader) {
 void DaemonService::handle_directive(net::NodeId src,
                                      util::WireReader& reader) {
   const auto directive = replica::TransferReplicaMsg::decode(reader);
+  // The server's kNodeAddr introduction (or, for a home-daemon retry, the
+  // directive's own envelope) taught the endpoint the requester's address,
+  // so dst_site is normally known. A bundle for a site that is not is never
+  // handed to a transport, so nothing is counted.
+  if (!endpoint_.knows_peer(directive.dst_site)) {
+    MOCHA_WARN("live") << "daemon " << endpoint_.node()
+                       << ": cannot serve transfer of lock "
+                       << directive.lock_id << " to unknown site "
+                       << directive.dst_site << " (directive from node "
+                       << src << ")";
+    return;
+  }
 
   util::Buffer bundle;
   Version version = 0;
@@ -260,39 +270,20 @@ void DaemonService::handle_directive(net::NodeId src,
   tm_bytes_out_->add(data.size());
   FlightRecorder::record(trace::EventKind::kTransferServed, endpoint_.node(),
                          directive.dst_site, directive.lock_id, data.size());
-  {
+  if (fast_bulk_ != nullptr) {
     util::MutexLock lock(mu_);
-    ++stats_.transfers_served;
-    bool use_fast = false;
-    if (fast_bulk_ != nullptr) {
-      const auto peer = bulk_peers_.find(directive.dst_site);
-      use_fast = peer != bulk_peers_.end() &&
-                 (peer->second.backends & bulk_backend_cap(bulk_kind_)) != 0;
-    }
-    if (use_fast) {
+    const auto peer = bulk_peers_.find(directive.dst_site);
+    if (peer != bulk_peers_.end() &&
+        (peer->second.backends & bulk_backend_cap(bulk_kind_)) != 0) {
       // Hand the bundle to the sender thread: fast sends block (TCP
-      // connect, batched-UDP DONE wait) and must not stall this loop.
-      ++stats_.bulk_fast_served;
+      // connect and write) and must not stall this loop.
       fast_sends_.push_back(FastSend{directive.dst_site, directive.dst_port,
                                      directive.lock_id, std::move(data)});
       fast_send_cv_.notify_all();
       return;
     }
   }
-  try {
-    // The server's kNodeAddr introduction (or, for a home-daemon retry, the
-    // directive's own envelope) taught the endpoint the requester's address,
-    // so dst_site is sendable even if this daemon never configured it.
-    endpoint_.send(directive.dst_site, directive.dst_port, std::move(data));
-  } catch (const std::logic_error&) {
-    util::MutexLock lock(mu_);
-    --stats_.transfers_served;
-    MOCHA_WARN("live") << "daemon " << endpoint_.node()
-                       << ": cannot serve transfer of lock "
-                       << directive.lock_id << " to unknown site "
-                       << directive.dst_site << " (directive from node "
-                       << src << ")";
-  }
+  endpoint_.send(directive.dst_site, directive.dst_port, std::move(data));
 }
 
 void DaemonService::bulk_send_loop() {
@@ -334,20 +325,9 @@ void DaemonService::fast_send_fallback(FastSend job) {
   tm_bulk_fallbacks_->add();
   FlightRecorder::record(trace::EventKind::kBulkFallback, endpoint_.node(),
                          job.dst, job.lock_id, job.data.size());
-  {
-    util::MutexLock lock(mu_);
-    --stats_.bulk_fast_served;
-    ++stats_.bulk_fallbacks;
-  }
-  try {
-    endpoint_.send(job.dst, job.port, std::move(job.data));
-  } catch (const std::logic_error&) {
-    util::MutexLock lock(mu_);
-    --stats_.transfers_served;
-    MOCHA_WARN("live") << "daemon " << endpoint_.node()
-                       << ": cannot serve transfer of lock " << job.lock_id
-                       << " to unknown site " << job.dst;
-  }
+  // handle_directive() queued the job only for a known peer, and the
+  // endpoint never forgets one.
+  endpoint_.send(job.dst, job.port, std::move(job.data));
 }
 
 void DaemonService::bulk_loop() {
@@ -372,6 +352,10 @@ std::uint8_t DaemonService::own_bulk_caps() const {
                                    bulk_backend_cap(bulk_kind_));
 }
 
+std::uint16_t DaemonService::own_bulk_port() const {
+  return fast_bulk_ == nullptr ? std::uint16_t{0} : fast_bulk_->contact_port();
+}
+
 void DaemonService::announce_bulk(net::NodeId peer) {
   if (fast_bulk_ == nullptr) return;
   {
@@ -379,13 +363,7 @@ void DaemonService::announce_bulk(net::NodeId peer) {
     if (!hello_sent_.insert(peer).second) return;
   }
   util::Buffer hello;
-  replica::BulkHelloMsg{endpoint_.node(), own_bulk_caps(),
-                        bulk_kind_ == BulkBackend::kTcp
-                            ? fast_bulk_->contact_port()
-                            : std::uint16_t{0},
-                        bulk_kind_ == BulkBackend::kBatchedUdp
-                            ? fast_bulk_->contact_port()
-                            : std::uint16_t{0}}
+  replica::BulkHelloMsg{endpoint_.node(), own_bulk_caps(), own_bulk_port()}
       .encode(hello);
   try {
     endpoint_.send(peer, replica::kDaemonPort, std::move(hello));
@@ -397,19 +375,12 @@ void DaemonService::announce_bulk(net::NodeId peer) {
 }
 
 void DaemonService::record_peer_bulk(net::NodeId peer, std::uint8_t backends,
-                                     std::uint16_t tcp_port,
-                                     std::uint16_t budp_port) {
+                                     std::uint16_t tcp_port) {
   {
     util::MutexLock lock(mu_);
-    const bool fresh = bulk_peers_.find(peer) == bulk_peers_.end();
-    bulk_peers_[peer] = PeerBulk{backends, tcp_port, budp_port};
-    if (fresh) ++stats_.bulk_peers_known;
+    bulk_peers_[peer] = PeerBulk{backends, tcp_port};
   }
-  if (fast_bulk_ != nullptr) {
-    fast_bulk_->set_peer_contact(peer, bulk_kind_ == BulkBackend::kTcp
-                                           ? tcp_port
-                                           : budp_port);
-  }
+  if (fast_bulk_ != nullptr) fast_bulk_->set_peer_contact(peer, tcp_port);
 }
 
 std::uint8_t DaemonService::peer_bulk_caps(net::NodeId peer) const {
@@ -420,11 +391,6 @@ std::uint8_t DaemonService::peer_bulk_caps(net::NodeId peer) const {
 
 bool DaemonService::drain_bulk(std::int64_t timeout_us) {
   return fast_bulk_ == nullptr || fast_bulk_->drain(timeout_us);
-}
-
-TransportBackend::Stats DaemonService::bulk_transport_stats() const {
-  return fast_bulk_ == nullptr ? TransportBackend::Stats{}
-                               : fast_bulk_->stats();
 }
 
 void DaemonService::data_loop() {
@@ -460,7 +426,7 @@ void DaemonService::apply_bundle(net::NodeId src, util::WireReader& reader,
     if (version < lk.version) {
       // A duplicate or a straggler from an earlier cycle; applying it would
       // roll contents back behind what the lock protocol promised.
-      ++stats_.stale_drops;
+      tm_stale_drops_->add();
       return;
     }
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -471,7 +437,6 @@ void DaemonService::apply_bundle(net::NodeId src, util::WireReader& reader,
     }
     lk.version = version;
     ++lk.applied;
-    ++stats_.transfers_applied;
     tm_transfers_applied_->add();
     FlightRecorder::record(trace::EventKind::kUpdatePushed, endpoint_.node(),
                            src, lock_id, static_cast<std::int64_t>(version));

@@ -21,11 +21,11 @@
 // version/applied condition variable is what LockClient::acquire() blocks on
 // while a promised transfer is in flight.
 //
-// Bulk transport (§10): the daemon can be constructed with a non-default
-// live::BulkBackend (TCP or batched-UDP). Control messages always stay on
-// the endpoint; outbound bundles take the fast backend only toward peers
-// whose BULK-HELLO advertised the matching capability, falling back to the
-// endpoint's UDP path on any fast-send failure — so a TCP daemon always
+// Bulk transport (§10): the daemon can be constructed with the TCP
+// live::BulkBackend instead of the default UDP one. Control messages always
+// stay on the endpoint; outbound bundles take the fast backend only toward
+// peers whose BULK-HELLO advertised the matching capability, falling back to
+// the endpoint's UDP path on any fast-send failure — so a TCP daemon always
 // interoperates with a UDP-only peer. The daemon announces itself to a peer
 // the first time it applies a bundle from that peer, so the first bundle
 // between two daemons rides UDP and later ones may take the fast backend.
@@ -57,14 +57,15 @@ namespace mocha::live {
 
 class DaemonService {
  public:
+  // Counts since this daemon was constructed, read from its
+  // "daemon.<node>.*" registry counters (the registry is process-global and
+  // outlives daemons, so a daemon reports each counter minus its value at
+  // construction).
   struct Stats {
-    std::uint64_t transfers_served = 0;   // outbound bundles sent
+    std::uint64_t transfers_served = 0;   // bundles handed to a transport
     std::uint64_t transfers_applied = 0;  // inbound bundles applied
     std::uint64_t stale_drops = 0;        // inbound bundles older than local
-    std::uint64_t polls_answered = 0;
-    std::uint64_t bulk_fast_served = 0;   // of transfers_served: fast backend
     std::uint64_t bulk_fallbacks = 0;     // fast send failed, rode UDP
-    std::uint64_t bulk_peers_known = 0;   // BULK-HELLO/ACKs recorded
   };
 
   explicit DaemonService(Endpoint& endpoint,
@@ -122,10 +123,8 @@ class DaemonService {
   // Flushes and FIN+linger-closes the fast backend's cached connections
   // (no-op true on pure UDP) — run under mocha_live's shared exit deadline.
   bool drain_bulk(std::int64_t timeout_us) MOCHA_BLOCKING;
-  // Fast-backend transport counters (all zero on pure UDP).
-  TransportBackend::Stats bulk_transport_stats() const;
 
-  Stats stats() const EXCLUDES(mu_);
+  Stats stats() const;
 
  private:
   // All replicas guarded by one lock move as one bundle.
@@ -137,15 +136,14 @@ class DaemonService {
   };
 
   // What a peer's BULK-HELLO / ACK taught us: which backends it can receive
-  // on and where they listen.
+  // on and where its TCP bulk listener is.
   struct PeerBulk {
     std::uint8_t backends = replica::kBulkCapUdp;
     std::uint16_t tcp_port = 0;
-    std::uint16_t budp_port = 0;
   };
 
   // One outbound fast-backend bundle awaiting the sender thread. Fast sends
-  // are synchronous (TCP connect, batched-UDP DONE wait) and must not run on
+  // are synchronous (TCP connect and write) and must not run on
   // the control loop: one stalled peer would head-of-line block every other
   // directive and control message for the full send timeout.
   struct FastSend {
@@ -159,8 +157,7 @@ class DaemonService {
   void data_loop() EXCLUDES(mu_);
   void bulk_loop() EXCLUDES(mu_);
   void bulk_send_loop() EXCLUDES(mu_);
-  // The endpoint-UDP leg of a failed or shutdown-skipped fast send; adjusts
-  // the fast/fallback counters to match.
+  // The endpoint-UDP leg of a failed or shutdown-skipped fast send.
   void fast_send_fallback(FastSend job) EXCLUDES(mu_);
   void handle_directive(net::NodeId src, util::WireReader& reader)
       EXCLUDES(mu_);
@@ -175,9 +172,10 @@ class DaemonService {
   // UDP needs no advertisement, absence of a hello *is* the fallback.
   void announce_bulk(net::NodeId peer) EXCLUDES(mu_);
   void record_peer_bulk(net::NodeId peer, std::uint8_t backends,
-                        std::uint16_t tcp_port, std::uint16_t budp_port)
-      EXCLUDES(mu_);
+                        std::uint16_t tcp_port) EXCLUDES(mu_);
   std::uint8_t own_bulk_caps() const;
+  // Where peers reach this daemon's TCP bulk listener; 0 on pure UDP.
+  std::uint16_t own_bulk_port() const;
   LockReplicas& lock_replicas(replica::LockId lock_id) REQUIRES(mu_);
 
   Endpoint& endpoint_;
@@ -198,15 +196,17 @@ class DaemonService {
   std::map<net::NodeId, PeerBulk> bulk_peers_ GUARDED_BY(mu_);
   std::set<net::NodeId> hello_sent_ GUARDED_BY(mu_);
   std::deque<FastSend> fast_sends_ GUARDED_BY(mu_);
-  Stats stats_ GUARDED_BY(mu_);
 
-  // Registry handles ("daemon.<node>.*"), resolved once in the constructor.
+  // Registry handles ("daemon.<node>.*"), resolved once in the constructor,
+  // and the Stats counters' values at that moment.
   Counter* tm_transfers_served_ = nullptr;
   Counter* tm_transfers_applied_ = nullptr;
+  Counter* tm_stale_drops_ = nullptr;
   Counter* tm_bytes_out_ = nullptr;
   Counter* tm_bytes_in_ = nullptr;
   Counter* tm_bulk_fallbacks_ = nullptr;
   Histogram* tm_bundle_send_us_ = nullptr;
+  Stats base_;
 };
 
 // Marshals / unmarshals the replica bundle that follows the

@@ -16,7 +16,10 @@ using replica::GrantFlag;
 using replica::LockWireMode;
 
 LockServer::LockServer(Endpoint& endpoint, LockServerOptions opts)
-    : endpoint_(endpoint), opts_(opts), reactor_(opts.reactor) {
+    : endpoint_(endpoint),
+      opts_(opts),
+      reactor_("shard." + std::to_string(opts.shard_id) + ".reactor.",
+               opts.reactor) {
   const std::string prefix = "shard." + std::to_string(opts_.shard_id) + ".";
   MetricsRegistry& registry = MetricsRegistry::global();
   tm_acquires_ = registry.counter(prefix + "acquires");
@@ -25,12 +28,12 @@ LockServer::LockServer(Endpoint& endpoint, LockServerOptions opts)
   tm_lease_breaks_ = registry.counter(prefix + "lease_breaks");
   tm_stats_requests_ = registry.counter(prefix + "stats_requests");
   tm_transfers_directed_ = registry.counter(prefix + "transfers_directed");
+  tm_registrations_ = registry.counter(prefix + "registrations");
+  tm_shard_map_requests_ = registry.counter(prefix + "shard_map_requests");
   tm_queue_depth_ = registry.gauge(prefix + "queue_depth");
   tm_active_leases_ = registry.gauge(prefix + "active_leases");
   tm_wait_us_ = registry.histogram(prefix + "wait_us");
   tm_hold_us_ = registry.histogram(prefix + "hold_us");
-  util::MutexLock guard(mu_);
-  stats_.shard_id = opts_.shard_id;
 }
 
 LockServer::~LockServer() { stop(); }
@@ -77,16 +80,6 @@ void LockServer::stop() {
   }
 }
 
-LockServer::Stats LockServer::stats() const {
-  const Reactor::Stats reactor = reactor_.stats();
-  util::MutexLock lock(mu_);
-  Stats stats = stats_;
-  stats.reactor_iterations = reactor.iterations;
-  stats.reactor_timers_fired = reactor.timers_fired;
-  stats.max_epoll_batch = reactor.max_epoll_batch;
-  return stats;
-}
-
 bool LockServer::is_blacklisted(std::uint32_t site) const {
   util::MutexLock lock(mu_);
   return blacklist_.contains(site);
@@ -95,9 +88,6 @@ bool LockServer::is_blacklisted(std::uint32_t site) const {
 void LockServer::publish_gauges() {
   tm_queue_depth_->set(static_cast<std::int64_t>(queued_waiters_));
   tm_active_leases_->set(static_cast<std::int64_t>(active_leases_));
-  util::MutexLock guard(mu_);
-  stats_.queued_waiters = queued_waiters_;
-  stats_.active_leases = active_leases_;
 }
 
 void LockServer::drain_sync_port() {
@@ -121,8 +111,7 @@ void LockServer::handle(Endpoint::Message msg) {
         LockState& lock = locks_[reg.lock_id];
         lock.id = reg.lock_id;
         lock.holders.insert(reg.site);
-        util::MutexLock guard(mu_);
-        ++stats_.registrations;
+        tm_registrations_->add();
         break;
       }
       case replica::kShardMapRequest:
@@ -150,8 +139,7 @@ void LockServer::handle_shard_map_request(net::NodeId src,
   util::Buffer reply;
   answer.encode(reply);
   endpoint_.send(src, request.reply_port, std::move(reply));
-  util::MutexLock guard(mu_);
-  ++stats_.shard_map_requests;
+  tm_shard_map_requests_->add();
 }
 
 void LockServer::handle_stats_request(net::NodeId src,
@@ -262,8 +250,6 @@ void LockServer::activate(LockState& lock, Request req) {
              lock.holders, current ? 0 : lock.last_owner.value_or(0));
   lock.active.push_back(std::move(req));
   ++active_leases_;
-  util::MutexLock guard(mu_);
-  ++stats_.grants;
 }
 
 void LockServer::send_grant(const Request& req, replica::Version version,
@@ -363,10 +349,6 @@ void LockServer::handle_release(util::WireReader& reader) {
     lock.up_to_date.insert(msg.site);
   }
   tm_releases_->add();
-  {
-    util::MutexLock guard(mu_);
-    ++stats_.releases;
-  }
   grant_from_queue(lock);
   publish_gauges();
 }
@@ -393,10 +375,6 @@ void LockServer::on_lease_expired(replica::LockId lock_id, std::uint32_t site,
   tm_lease_breaks_->add();
   FlightRecorder::record(trace::EventKind::kLockBroken, endpoint_.node(),
                          site, lock_id, 0, nonce);
-  {
-    util::MutexLock guard(mu_);
-    ++stats_.locks_broken;
-  }
   MOCHA_INFO("live") << "lock " << lock_id << " broken: site " << site
                      << " exceeded its lease; site blacklisted";
   grant_from_queue(lock);

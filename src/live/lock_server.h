@@ -65,7 +65,8 @@ struct LockServerOptions {
   // §4 keeps a broken-lock site blacklisted forever; a positive TTL expires
   // the entry via a reactor timer instead (operational escape hatch).
   std::int64_t blacklist_ttl_us = 0;
-  // Shard id reported in stats and logs (the ShardMap decides routing).
+  // Shard id naming this shard's "shard.<id>." registry metrics and logs
+  // (the ShardMap decides routing).
   std::uint32_t shard_id = 0;
   ReactorOptions reactor;
 };
@@ -75,22 +76,6 @@ struct LockServerOptions {
 // reactor and joins the loop thread before any member is destroyed.
 class MOCHA_REACTOR_SAFE LockServer {
  public:
-  struct Stats {
-    std::uint32_t shard_id = 0;
-    std::uint64_t grants = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t locks_broken = 0;
-    std::uint64_t registrations = 0;
-    std::uint64_t shard_map_requests = 0;
-    // Gauges: current queue depth / lease population of this shard.
-    std::uint64_t queued_waiters = 0;
-    std::uint64_t active_leases = 0;
-    // Reactor-core counters (per-shard load balance in bench artifacts).
-    std::uint64_t reactor_iterations = 0;
-    std::uint64_t reactor_timers_fired = 0;
-    std::uint64_t max_epoll_batch = 0;
-  };
-
   LockServer(Endpoint& endpoint, LockServerOptions opts = {});
   ~LockServer();
 
@@ -106,7 +91,6 @@ class MOCHA_REACTOR_SAFE LockServer {
   void start();
   void stop();
 
-  Stats stats() const EXCLUDES(mu_);
   bool is_blacklisted(std::uint32_t site) const EXCLUDES(mu_);
 
  private:
@@ -150,13 +134,12 @@ class MOCHA_REACTOR_SAFE LockServer {
   void handle_release(util::WireReader& reader) MOCHA_REACTOR_ONLY
       EXCLUDES(mu_);
   void handle_shard_map_request(net::NodeId src, util::WireReader& reader)
-      MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+      MOCHA_REACTOR_ONLY;
   // §11 introspection: answers with the whole process's registry snapshot.
   void handle_stats_request(net::NodeId src, util::WireReader& reader)
       MOCHA_REACTOR_ONLY;
-  void grant_from_queue(LockState& lock) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
-  void activate(LockState& lock, Request req) MOCHA_REACTOR_ONLY
-      EXCLUDES(mu_);
+  void grant_from_queue(LockState& lock) MOCHA_REACTOR_ONLY;
+  void activate(LockState& lock, Request req) MOCHA_REACTOR_ONLY;
   void send_grant(const Request& req, replica::Version version,
                   replica::GrantFlag flag,
                   const std::set<std::uint32_t>& holders,
@@ -171,8 +154,8 @@ class MOCHA_REACTOR_SAFE LockServer {
   void on_lease_expired(replica::LockId lock_id, std::uint32_t site,
                         std::uint64_t nonce) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
   void blacklist_site(std::uint32_t site) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
-  // Publishes the queue/lease gauges into stats_ (call with counts current).
-  void publish_gauges() MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+  // Publishes the queue/lease gauges (call with counts current).
+  void publish_gauges() MOCHA_REACTOR_ONLY;
 
   Endpoint& endpoint_;
   LockServerOptions opts_;
@@ -192,10 +175,9 @@ class MOCHA_REACTOR_SAFE LockServer {
   std::set<std::pair<std::uint32_t, std::uint32_t>> introduced_;
 
   mutable util::Mutex mu_;
-  // Cross-thread observable state: the reactor thread publishes, stats() /
-  // is_blacklisted() read from arbitrary threads.
+  // The one cross-thread structure: the reactor thread writes it,
+  // is_blacklisted() reads it from arbitrary threads.
   std::set<std::uint32_t> blacklist_ GUARDED_BY(mu_);
-  Stats stats_ GUARDED_BY(mu_);
 
   // Registry handles ("shard.<id>.*"), resolved once in the constructor;
   // written from the reactor thread, scraped from anywhere.
@@ -205,6 +187,8 @@ class MOCHA_REACTOR_SAFE LockServer {
   Counter* tm_lease_breaks_ = nullptr;
   Counter* tm_stats_requests_ = nullptr;
   Counter* tm_transfers_directed_ = nullptr;
+  Counter* tm_registrations_ = nullptr;
+  Counter* tm_shard_map_requests_ = nullptr;
   Gauge* tm_queue_depth_ = nullptr;
   Gauge* tm_active_leases_ = nullptr;
   Histogram* tm_wait_us_ = nullptr;

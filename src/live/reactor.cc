@@ -13,8 +13,20 @@
 
 namespace mocha::live {
 
-Reactor::Reactor(ReactorOptions opts, Clock* clock)
-    : opts_(opts), clock_(clock != nullptr ? clock : &Clock::monotonic()) {
+Reactor::Reactor(const std::string& metric_prefix, ReactorOptions opts,
+                 Clock* clock)
+    : opts_(opts),
+      clock_(clock != nullptr ? clock : &Clock::monotonic()),
+      tm_iterations_(
+          MetricsRegistry::global().counter(metric_prefix + "iterations")),
+      tm_fd_events_(
+          MetricsRegistry::global().counter(metric_prefix + "fd_events")),
+      tm_timers_fired_(
+          MetricsRegistry::global().counter(metric_prefix + "timers_fired")),
+      tm_callbacks_run_(
+          MetricsRegistry::global().counter(metric_prefix + "callbacks_run")),
+      tm_max_epoll_batch_(
+          MetricsRegistry::global().gauge(metric_prefix + "max_epoll_batch")) {
   if (opts_.tick_us <= 0 || opts_.wheel_slots == 0) {
     throw std::invalid_argument("Reactor: tick_us and wheel_slots must be > 0");
   }
@@ -141,12 +153,9 @@ void Reactor::run() {
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()),
                                epoll_timeout_ms());
-    iterations_.fetch_add(1, std::memory_order_relaxed);
+    tm_iterations_->add();
     if (n > 0) {
-      const auto batch = static_cast<std::uint64_t>(n);
-      if (batch > max_epoll_batch_.load(std::memory_order_relaxed)) {
-        max_epoll_batch_.store(batch, std::memory_order_relaxed);
-      }
+      if (n > tm_max_epoll_batch_->value()) tm_max_epoll_batch_->set(n);
       for (int i = 0; i < n; ++i) {
         const int fd = events[static_cast<std::size_t>(i)].data.fd;
         if (fd == wake_fd_) {
@@ -155,7 +164,7 @@ void Reactor::run() {
         }
         auto it = fd_handlers_.find(fd);
         if (it == fd_handlers_.end()) continue;  // unwatched by a peer handler
-        fd_events_.fetch_add(1, std::memory_order_relaxed);
+        tm_fd_events_->add();
         const std::shared_ptr<FdHandler> handler = it->second;
         (*handler)(events[static_cast<std::size_t>(i)].events);
       }
@@ -173,7 +182,7 @@ void Reactor::run_posted() {
     batch.swap(posted_);
   }
   for (Callback& cb : batch) {
-    callbacks_run_.fetch_add(1, std::memory_order_relaxed);
+    tm_callbacks_run_->add();
     cb();
   }
 }
@@ -215,20 +224,10 @@ void Reactor::advance_wheel(std::int64_t now_us) {
                                             : a.id < b.id;
     });
     for (Due& d : due) {
-      timers_fired_.fetch_add(1, std::memory_order_relaxed);
+      tm_timers_fired_->add();
       d.cb();
     }
   }
-}
-
-Reactor::Stats Reactor::stats() const {
-  Stats stats;
-  stats.iterations = iterations_.load(std::memory_order_relaxed);
-  stats.fd_events = fd_events_.load(std::memory_order_relaxed);
-  stats.timers_fired = timers_fired_.load(std::memory_order_relaxed);
-  stats.callbacks_run = callbacks_run_.load(std::memory_order_relaxed);
-  stats.max_epoll_batch = max_epoll_batch_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace mocha::live

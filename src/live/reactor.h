@@ -24,6 +24,11 @@
 // thread once run() has started (before run(), the constructing thread may
 // configure freely). Handlers and callbacks always execute on the loop
 // thread, so state they touch needs no locking against each other.
+//
+// Counting: the loop's own load counters live in the metrics registry under
+// a name prefix the owner passes at construction ("shard.<id>.reactor." for
+// a lock-server shard, "bulk.tcp.<node>.reactor." for the TCP bulk
+// backend), the way live::Endpoint derives "ep.<node>.".
 #pragma once
 
 #include <atomic>
@@ -31,9 +36,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "live/clock.h"
+#include "live/telemetry.h"
 #include "util/analysis_annotations.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -45,7 +52,7 @@ struct ReactorOptions {
   std::int64_t tick_us = 1'000;
   std::size_t wheel_slots = 256;
   // epoll_wait horizon while no timers are pending (stop() wakes the loop
-  // via the eventfd, so this only bounds staleness of the stats gauges).
+  // via the eventfd, so this only bounds how long an idle loop sleeps).
   std::int64_t idle_poll_us = 200'000;
   std::size_t max_epoll_events = 64;
 };
@@ -58,15 +65,13 @@ class Reactor {
   using TimerId = std::uint64_t;
   static constexpr TimerId kInvalidTimer = 0;
 
-  struct Stats {
-    std::uint64_t iterations = 0;       // epoll_wait loop passes
-    std::uint64_t fd_events = 0;        // handler dispatches
-    std::uint64_t timers_fired = 0;
-    std::uint64_t callbacks_run = 0;    // post()ed callbacks executed
-    std::uint64_t max_epoll_batch = 0;  // largest single epoll_wait return
-  };
-
-  explicit Reactor(ReactorOptions opts = {}, Clock* clock = nullptr);
+  // `metric_prefix` names this loop's registry metrics (it ends in '.'):
+  // <prefix>iterations (epoll_wait loop passes), fd_events (handler
+  // dispatches), timers_fired, callbacks_run (post()ed callbacks executed)
+  // and the max_epoll_batch gauge (largest single epoll_wait return).
+  // Reactors given the same prefix add into the same counters.
+  explicit Reactor(const std::string& metric_prefix, ReactorOptions opts = {},
+                   Clock* clock = nullptr);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -95,8 +100,6 @@ class Reactor {
   void run();
   void stop() MOCHA_REACTOR_SAFE;
   bool looping() const { return looping_.load(std::memory_order_acquire); }
-
-  Stats stats() const;
 
  private:
   struct PendingTimer {
@@ -135,12 +138,13 @@ class Reactor {
   mutable util::Mutex post_mu_;
   std::vector<Callback> posted_ GUARDED_BY(post_mu_);
 
-  // Stats counters: written by the loop thread, read from stats() callers.
-  std::atomic<std::uint64_t> iterations_{0};
-  std::atomic<std::uint64_t> fd_events_{0};
-  std::atomic<std::uint64_t> timers_fired_{0};
-  std::atomic<std::uint64_t> callbacks_run_{0};
-  std::atomic<std::uint64_t> max_epoll_batch_{0};
+  // Registry handles under the constructor's prefix; written by the loop
+  // thread only.
+  Counter* tm_iterations_;
+  Counter* tm_fd_events_;
+  Counter* tm_timers_fired_;
+  Counter* tm_callbacks_run_;
+  Gauge* tm_max_epoll_batch_;
 };
 
 }  // namespace mocha::live

@@ -30,6 +30,7 @@ constexpr std::int64_t kDrainTickUs = 5'000;
 TcpBulkBackend::TcpBulkBackend(Endpoint& endpoint, TcpBulkOptions opts)
     : endpoint_(endpoint),
       opts_(opts),
+      reactor_("bulk.tcp." + std::to_string(endpoint.node()) + ".reactor."),
       tm_(resolve_bulk_counters(BulkBackend::kTcp, endpoint.node())) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
@@ -166,15 +167,10 @@ util::Status TcpBulkBackend::send_bundle(net::NodeId dst, net::Port port,
     }
     result = pending->status;
   }
-  {
-    util::MutexLock lock(mu_);
-    if (result.is_ok()) {
-      ++stats_.bundles_sent;
-      tm_.sent->add();
-    } else {
-      ++stats_.send_failures;
-      tm_.failures->add();
-    }
+  if (result.is_ok()) {
+    tm_.sent->add();
+  } else {
+    tm_.failures->add();
   }
   return result;
 }
@@ -198,11 +194,6 @@ TcpBulkBackend::PortQueue& TcpBulkBackend::port_queue(net::Port port) {
   auto& slot = delivered_[port];
   if (slot == nullptr) slot = std::make_unique<PortQueue>();
   return *slot;
-}
-
-TransportBackend::Stats TcpBulkBackend::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
 }
 
 std::size_t TcpBulkBackend::cached_connections() const {
@@ -444,12 +435,9 @@ void TcpBulkBackend::fail_conn(net::NodeId dst, util::StatusCode code,
   ::close(conn.fd);
   lru_.erase(conn.lru_it);
   conns_.erase(it);
+  if (was_established) tm_.repairs->add();
   util::MutexLock lock(mu_);
   cached_conns_gauge_ = conns_.size();
-  if (was_established) {
-    ++stats_.repairs;
-    tm_.repairs->add();
-  }
 }
 
 void TcpBulkBackend::evict_idle_over_cap() {
@@ -615,12 +603,12 @@ void TcpBulkBackend::inbound_event(int fd, std::uint32_t events) {
     const std::span<const std::uint8_t> body = head.raw(len);
     bundle.payload.assign(body.begin(), body.end());
     consumed += kFrameHeaderBytes + len;
+    // Counted before the bundle is visible to recv_bundle().
+    tm_.received->add();
     util::MutexLock lock(mu_);
     PortQueue& queue = port_queue(bundle.port);
     queue.bundles.push_back(std::move(bundle));
     queue.cv.notify_all();
-    ++stats_.bundles_received;
-    tm_.received->add();
   }
   if (consumed > 0) {
     in.buf.erase(in.buf.begin(),

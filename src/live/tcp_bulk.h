@@ -21,7 +21,9 @@
 // in via Reactor::post() and block on a per-send completion record, so the
 // connection cache itself needs no lock. The mutex below guards only the
 // caller-facing edges: the peer contact table, delivered-bundle port queues,
-// and stats.
+// and the cached-connection count. Bundle counts live in the metrics
+// registry ("bulk.tcp.<node>.*", the loop's own under
+// "bulk.tcp.<node>.reactor.").
 //
 // Typed errors: kUnavailable = no contact / connect refused / peer closed
 // or reset the stream before the frame was fully written; kTimeout =
@@ -94,8 +96,6 @@ class MOCHA_REACTOR_SAFE TcpBulkBackend final : public TransportBackend {
   // discard the tail — the §10 pre-exit drain mocha_live runs under its
   // shared flush deadline. New sends after drain() fail kUnavailable.
   bool drain(std::int64_t timeout_us) override MOCHA_BLOCKING EXCLUDES(mu_);
-
-  Stats stats() const override EXCLUDES(mu_);
 
   // Number of cached outbound connections (reactor-loop snapshot; test aid).
   std::size_t cached_connections() const;
@@ -173,7 +173,6 @@ class MOCHA_REACTOR_SAFE TcpBulkBackend final : public TransportBackend {
   BulkCounters tm_;
   std::map<net::NodeId, std::uint16_t> contacts_ GUARDED_BY(mu_);
   std::map<net::Port, std::unique_ptr<PortQueue>> delivered_ GUARDED_BY(mu_);
-  Stats stats_ GUARDED_BY(mu_);
   std::size_t cached_conns_gauge_ GUARDED_BY(mu_) = 0;
 
   // Reactor-loop-thread-owned (no lock; see the threading note above).

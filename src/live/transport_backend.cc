@@ -1,18 +1,9 @@
 #include "live/transport_backend.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <array>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
-#include "live/clock.h"
 #include "live/tcp_bulk.h"
 #include "replica/wire.h"
 #include "util/log.h"
@@ -22,45 +13,6 @@ namespace {
 
 constexpr const char* kLogComponent = "bulk";
 
-// Batched-UDP datagram header (little-endian on the wire, like the rest of
-// the protocol):   u32 magic | u8 type | u32 src_node | u64 xfer_id | ...
-//   kData:  ... | u16 port | u32 frag_idx | u32 frag_count | chunk bytes
-//   kDone:  (17-byte header only)
-//   kProbe: ... | u32 frag_count
-//   kNack:  ... | u32 n | n × u32 missing_frag_idx
-constexpr std::uint32_t kBudpMagic = 0x3155424dU;  // "MBU1"
-constexpr std::uint8_t kBudpData = 0;
-constexpr std::uint8_t kBudpDone = 1;
-constexpr std::uint8_t kBudpProbe = 2;
-constexpr std::uint8_t kBudpNack = 3;
-constexpr std::size_t kBudpBaseHeader = 17;
-constexpr std::size_t kBudpDataHeader = kBudpBaseHeader + 2 + 4 + 4;
-// A NACK lists at most this many missing fragments; the sender repairs that
-// window and the next probe learns the rest. Keeps NACKs inside one mtu.
-constexpr std::size_t kMaxNackIndices = 256;
-constexpr unsigned kMmsgBatch = 64;
-constexpr std::size_t kDoneCacheCap = 1024;
-constexpr std::int64_t kReassemblyGcUs = 10'000'000;
-
-void put_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-double env_loss_pct() {
-  const char* v = std::getenv("MOCHA_NETEM_LOSS_PCT");
-  if (v == nullptr || *v == '\0') return 0.0;
-  char* end = nullptr;
-  const double pct = std::strtod(v, &end);
-  if (end == v || pct <= 0.0) return 0.0;
-  return pct;
-}
-
 }  // namespace
 
 const char* bulk_backend_name(BulkBackend kind) {
@@ -69,8 +21,6 @@ const char* bulk_backend_name(BulkBackend kind) {
       return "udp";
     case BulkBackend::kTcp:
       return "tcp";
-    case BulkBackend::kBatchedUdp:
-      return "batched-udp";
   }
   return "udp";
 }
@@ -78,7 +28,6 @@ const char* bulk_backend_name(BulkBackend kind) {
 std::optional<BulkBackend> parse_bulk_backend(std::string_view name) {
   if (name == "udp") return BulkBackend::kUdp;
   if (name == "tcp") return BulkBackend::kTcp;
-  if (name == "batched-udp" || name == "budp") return BulkBackend::kBatchedUdp;
   return std::nullopt;
 }
 
@@ -88,7 +37,7 @@ BulkBackend bulk_backend_from_env(BulkBackend fallback) {
   const auto parsed = parse_bulk_backend(v);
   if (!parsed.has_value()) {
     MOCHA_WARN(kLogComponent)
-        << "ignoring unknown MOCHA_BULK_BACKEND=" << v << " (want udp|tcp|batched-udp)";
+        << "ignoring unknown MOCHA_BULK_BACKEND=" << v << " (want udp|tcp)";
     return fallback;
   }
   return *parsed;
@@ -112,8 +61,6 @@ std::uint8_t bulk_backend_cap(BulkBackend kind) {
       return replica::kBulkCapUdp;
     case BulkBackend::kTcp:
       return replica::kBulkCapTcp;
-    case BulkBackend::kBatchedUdp:
-      return replica::kBulkCapBatchedUdp;
   }
   return replica::kBulkCapUdp;
 }
@@ -127,11 +74,9 @@ util::Status UdpBulkBackend::send_bundle(net::NodeId dst, net::Port port,
   try {
     endpoint_.send(dst, port, std::move(payload));
   } catch (const std::logic_error& e) {
-    failures_.fetch_add(1, std::memory_order_relaxed);
     tm_.failures->add();
     return util::Status(util::StatusCode::kUnavailable, e.what());
   }
-  sent_.fetch_add(1, std::memory_order_relaxed);
   tm_.sent->add();
   return util::Status::ok();
 }
@@ -140,7 +85,6 @@ std::optional<TransportBackend::Bundle> UdpBulkBackend::recv_bundle(
     net::Port port, std::int64_t timeout_us) {
   auto msg = endpoint_.recv_for(port, timeout_us);
   if (!msg.has_value()) return std::nullopt;
-  received_.fetch_add(1, std::memory_order_relaxed);
   tm_.received->add();
   return Bundle{msg->src, msg->port, std::move(msg->payload)};
 }
@@ -149,483 +93,6 @@ bool UdpBulkBackend::drain(std::int64_t /*timeout_us*/) {
   // Outbound retransmit state lives in the shared endpoint, which the
   // process flushes once for all traffic classes before exit.
   return true;
-}
-
-TransportBackend::Stats UdpBulkBackend::stats() const {
-  Stats s;
-  s.bundles_sent = sent_.load(std::memory_order_relaxed);
-  s.bundles_received = received_.load(std::memory_order_relaxed);
-  s.send_failures = failures_.load(std::memory_order_relaxed);
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// BatchedUdpBackend
-
-BatchedUdpBackend::BatchedUdpBackend(Endpoint& endpoint, BatchedUdpOptions opts)
-    : endpoint_(endpoint),
-      opts_(opts),
-      max_chunk_(opts.mtu > kBudpDataHeader + 1 ? opts.mtu - kBudpDataHeader
-                                                : 1),
-      tm_(resolve_bulk_counters(BulkBackend::kBatchedUdp, endpoint.node())),
-      netem_rng_(opts.netem_seed) {
-  sock_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-  if (sock_ < 0) {
-    throw std::system_error(errno, std::generic_category(),
-                            "batched-udp socket");
-  }
-  const int buf = opts_.socket_buffer_bytes;
-  (void)::setsockopt(sock_, SOL_SOCKET, SO_RCVBUF, &buf, sizeof(buf));
-  (void)::setsockopt(sock_, SOL_SOCKET, SO_SNDBUF, &buf, sizeof(buf));
-  sockaddr_in bind_addr{};
-  bind_addr.sin_family = AF_INET;
-  bind_addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  bind_addr.sin_port = 0;
-  // MOCHA_RAW_WIRE_OK: sockaddr cast is kernel ABI, not wire payload.
-  if (::bind(sock_, reinterpret_cast<const sockaddr*>(&bind_addr),
-             sizeof(bind_addr)) != 0) {
-    const int err = errno;
-    ::close(sock_);
-    throw std::system_error(err, std::generic_category(), "batched-udp bind");
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  // MOCHA_RAW_WIRE_OK: sockaddr cast is kernel ABI, not wire payload.
-  if (::getsockname(sock_, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
-      0) {
-    budp_port_ = ntohs(bound.sin_port);
-  }
-  running_.store(true, std::memory_order_release);
-  rx_thread_ = std::thread([this] { rx_loop(); });
-}
-
-BatchedUdpBackend::~BatchedUdpBackend() {
-  running_.store(false, std::memory_order_release);
-  if (rx_thread_.joinable()) rx_thread_.join();
-  if (sock_ >= 0) ::close(sock_);
-}
-
-void BatchedUdpBackend::set_peer_contact(net::NodeId peer, std::uint16_t port) {
-  util::MutexLock lock(mu_);
-  if (port == 0) {
-    contacts_.erase(peer);
-  } else {
-    contacts_[peer] = port;
-  }
-}
-
-std::uint16_t BatchedUdpBackend::peer_contact(net::NodeId peer) const {
-  util::MutexLock lock(mu_);
-  const auto it = contacts_.find(peer);
-  return it == contacts_.end() ? 0 : it->second;
-}
-
-util::Status BatchedUdpBackend::send_bundle(net::NodeId dst, net::Port port,
-                                            util::Buffer payload,
-                                            std::int64_t timeout_us) {
-  const auto addr = endpoint_.peer_addr(dst);
-  const std::uint16_t contact = peer_contact(dst);
-  if (!addr.has_value() || addr->ipv4 == 0) {
-    util::MutexLock lock(mu_);
-    ++stats_.send_failures;
-    tm_.failures->add();
-    return util::Status(util::StatusCode::kUnavailable,
-                        "batched-udp: no address for node " +
-                            std::to_string(dst));
-  }
-  if (contact == 0) {
-    util::MutexLock lock(mu_);
-    ++stats_.send_failures;
-    tm_.failures->add();
-    return util::Status(util::StatusCode::kUnavailable,
-                        "batched-udp: node " + std::to_string(dst) +
-                            " advertised no batched-udp contact port");
-  }
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_addr.s_addr = addr->ipv4;  // already network byte order
-  to.sin_port = htons(contact);
-
-  const std::size_t total = payload.size();
-  const auto frag_count = static_cast<std::uint32_t>(
-      total == 0 ? 1 : (total + max_chunk_ - 1) / max_chunk_);
-
-  std::uint64_t xfer = 0;
-  auto waiter = std::make_shared<Waiter>();
-  waiter->frag_count = frag_count;
-  {
-    util::MutexLock lock(mu_);
-    // Salt with the node id so xfer ids never collide across senders at one
-    // receiver (its done-cache is keyed by xfer id alone).
-    xfer = (static_cast<std::uint64_t>(endpoint_.node()) << 40) | next_xfer_++;
-    waiters_[xfer] = waiter;
-  }
-
-  std::vector<std::array<std::uint8_t, kBudpDataHeader>> headers(frag_count);
-  for (std::uint32_t i = 0; i < frag_count; ++i) {
-    std::uint8_t* h = headers[i].data();
-    put_u32(h, kBudpMagic);
-    h[4] = kBudpData;
-    put_u32(h + 5, endpoint_.node());
-    put_u64(h + 9, xfer);
-    put_u16(h + 17, port);
-    put_u32(h + 19, i);
-    put_u32(h + 23, frag_count);
-  }
-  const auto chunk_of = [&](std::uint32_t i) {
-    const std::size_t off = static_cast<std::size_t>(i) * max_chunk_;
-    const std::size_t len = std::min(max_chunk_, total - std::min(off, total));
-    return std::pair<const std::uint8_t*, std::size_t>(payload.data() + off,
-                                                       len);
-  };
-  // Bursts the given fragments with sendmmsg; briefly waits out EAGAIN so a
-  // full socket buffer degrades to pacing, not loss on our own side.
-  const auto burst = [&](const std::vector<std::uint32_t>& frags) {
-    std::size_t done = 0;
-    while (done < frags.size()) {
-      const unsigned n =
-          static_cast<unsigned>(std::min<std::size_t>(kMmsgBatch,
-                                                      frags.size() - done));
-      std::array<mmsghdr, kMmsgBatch> msgs{};
-      std::array<std::array<iovec, 2>, kMmsgBatch> iovs{};
-      for (unsigned i = 0; i < n; ++i) {
-        const std::uint32_t frag = frags[done + i];
-        const auto [chunk, chunk_len] = chunk_of(frag);
-        iovs[i][0] = {headers[frag].data(), kBudpDataHeader};
-        iovs[i][1] = {const_cast<std::uint8_t*>(chunk), chunk_len};
-        msgs[i].msg_hdr.msg_iov = iovs[i].data();
-        msgs[i].msg_hdr.msg_iovlen = chunk_len > 0 ? 2 : 1;
-        msgs[i].msg_hdr.msg_name = &to;
-        msgs[i].msg_hdr.msg_namelen = sizeof(to);
-      }
-      const int sent = ::sendmmsg(sock_, msgs.data(), n, 0);
-      if (sent < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
-          pollfd pfd{sock_, POLLOUT, 0};
-          (void)::poll(&pfd, 1, 10);
-          continue;
-        }
-        return false;
-      }
-      done += static_cast<std::size_t>(sent);
-    }
-    return true;
-  };
-
-  std::vector<std::uint32_t> all(frag_count);
-  for (std::uint32_t i = 0; i < frag_count; ++i) all[i] = i;
-  const auto cleanup = [&](bool sent_ok) {
-    util::MutexLock lock(mu_);
-    waiters_.erase(xfer);
-    if (sent_ok) {
-      ++stats_.bundles_sent;
-      tm_.sent->add();
-    } else {
-      ++stats_.send_failures;
-      tm_.failures->add();
-    }
-  };
-  if (!burst(all)) {
-    cleanup(false);
-    return util::Status(util::StatusCode::kUnavailable,
-                        "batched-udp: sendmmsg to node " +
-                            std::to_string(dst) + " failed: " +
-                            std::strerror(errno));
-  }
-
-  const std::int64_t deadline = Clock::monotonic().now_us() + timeout_us;
-  std::int64_t next_probe =
-      Clock::monotonic().now_us() + opts_.probe_interval_us;
-  while (true) {
-    std::vector<std::uint32_t> resend;
-    {
-      util::MutexLock lock(mu_);
-      while (!waiter->done && waiter->missing.empty()) {
-        const std::int64_t now = Clock::monotonic().now_us();
-        const std::int64_t until = std::min(deadline, next_probe);
-        if (now >= until) break;
-        waiter->cv.wait_for_us(mu_, until - now);
-      }
-      if (waiter->done) {
-        waiters_.erase(xfer);
-        ++stats_.bundles_sent;
-        tm_.sent->add();
-        return util::Status::ok();
-      }
-      resend.swap(waiter->missing);
-    }
-    const std::int64_t now = Clock::monotonic().now_us();
-    if (!resend.empty()) {
-      if (burst(resend)) {
-        util::MutexLock lock(mu_);
-        stats_.repairs += resend.size();
-        tm_.repairs->add(resend.size());
-      }
-      next_probe = now + opts_.probe_interval_us;
-      continue;
-    }
-    if (now >= deadline) {
-      cleanup(false);
-      return util::Status(
-          util::StatusCode::kTimeout,
-          "batched-udp: bundle of " + std::to_string(total) +
-              " bytes to node " + std::to_string(dst) +
-              " unacknowledged after " + std::to_string(timeout_us) + "us");
-    }
-    if (now >= next_probe) {
-      send_control(kBudpProbe, xfer, frag_count, {}, to);
-      next_probe = now + opts_.probe_interval_us;
-    }
-  }
-}
-
-std::optional<TransportBackend::Bundle> BatchedUdpBackend::recv_bundle(
-    net::Port port, std::int64_t timeout_us) {
-  const std::int64_t deadline = Clock::monotonic().now_us() + timeout_us;
-  util::MutexLock lock(mu_);
-  PortQueue& queue = port_queue(port);
-  while (queue.bundles.empty()) {
-    const std::int64_t now = Clock::monotonic().now_us();
-    if (now >= deadline) return std::nullopt;
-    queue.cv.wait_for_us(mu_, deadline - now);
-  }
-  Bundle bundle = std::move(queue.bundles.front());
-  queue.bundles.pop_front();
-  return bundle;
-}
-
-bool BatchedUdpBackend::drain(std::int64_t /*timeout_us*/) {
-  // send_bundle is synchronous through the DONE ack, so a returned send has
-  // nothing left in flight and there are no connections to unwind.
-  return true;
-}
-
-TransportBackend::Stats BatchedUdpBackend::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
-}
-
-BatchedUdpBackend::PortQueue& BatchedUdpBackend::port_queue(net::Port port) {
-  auto& slot = delivered_[port];
-  if (slot == nullptr) slot = std::make_unique<PortQueue>();
-  return *slot;
-}
-
-void BatchedUdpBackend::rx_loop() {
-  constexpr unsigned kBatch = kMmsgBatch;
-  // Sender and receiver may disagree on mtu (Reassembly assumes no fixed
-  // stride), so receive buffers are sized for the largest possible UDP
-  // payload, not the local option — a bigger-mtu peer must not have its
-  // DATA datagrams truncated into corrupt chunks.
-  constexpr std::size_t buf_len = 65536;
-  std::vector<std::vector<std::uint8_t>> bufs(kBatch);
-  for (auto& b : bufs) b.resize(buf_len);
-  std::array<mmsghdr, kBatch> msgs{};
-  std::array<iovec, kBatch> iovs{};
-  std::array<sockaddr_in, kBatch> froms{};
-  std::int64_t last_gc = Clock::monotonic().now_us();
-
-  while (running_.load(std::memory_order_acquire)) {
-    pollfd pfd{sock_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    const std::int64_t now = Clock::monotonic().now_us();
-    if (now - last_gc >= kReassemblyGcUs) {
-      last_gc = now;
-      for (auto it = reassembly_.begin(); it != reassembly_.end();) {
-        if (now - it->second.last_arrival_us >= kReassemblyGcUs) {
-          it = reassembly_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (ready <= 0) continue;
-    for (unsigned i = 0; i < kBatch; ++i) {
-      iovs[i] = {bufs[i].data(), buf_len};
-      msgs[i].msg_hdr = {};
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-      msgs[i].msg_hdr.msg_name = &froms[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof(froms[i]);
-    }
-    const int got = ::recvmmsg(sock_, msgs.data(), kBatch, MSG_DONTWAIT,
-                               nullptr);
-    if (got <= 0) continue;
-    for (int i = 0; i < got; ++i) {
-      if ((msgs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
-        // Datagram larger than the buffer (cannot happen for UDP at the
-        // buf_len above, but never parse a truncated payload as complete).
-        continue;
-      }
-      if (opts_.recv_loss_pct > 0.0 &&
-          netem_rng_.chance(opts_.recv_loss_pct / 100.0)) {
-        ++netem_dropped_;
-        continue;
-      }
-      handle_datagram(bufs[i].data(), msgs[i].msg_len, froms[i]);
-    }
-  }
-}
-
-void BatchedUdpBackend::handle_datagram(const std::uint8_t* data,
-                                        std::size_t len,
-                                        const sockaddr_in& from) try {
-  util::WireReader reader(std::span<const std::uint8_t>(data, len));
-  if (reader.u32() != kBudpMagic) return;
-  const std::uint8_t type = reader.u8();
-  const net::NodeId src = reader.u32();
-  const std::uint64_t xfer = reader.u64();
-  switch (type) {
-    case kBudpData: {
-      const net::Port port = reader.u16();
-      const std::uint32_t idx = reader.u32();
-      const std::uint32_t count = reader.u32();
-      if (count == 0 || idx >= count) return;
-      if (done_ids_.count(xfer) != 0) {
-        // Fully delivered already; the sender just missed our DONE.
-        send_control(kBudpDone, xfer, 0, {}, from);
-        return;
-      }
-      Reassembly& re = reassembly_[{src, xfer}];
-      if (re.frag_count == 0) {
-        re.src = src;
-        re.frag_count = count;
-        re.present.assign(count, false);
-        re.chunks.resize(count);
-      } else if (re.frag_count != count) {
-        return;  // corrupt or colliding transfer
-      }
-      re.port = port;
-      re.from = from;
-      re.last_arrival_us = Clock::monotonic().now_us();
-      if (!re.present[idx]) {
-        re.present[idx] = true;
-        ++re.have;
-        const std::span<const std::uint8_t> chunk =
-            reader.raw(reader.remaining());
-        re.chunks[idx].assign(chunk.begin(), chunk.end());
-      }
-      if (re.have < re.frag_count) return;
-      Bundle bundle;
-      bundle.src = src;
-      bundle.port = port;
-      std::size_t total = 0;
-      for (const auto& c : re.chunks) total += c.size();
-      bundle.payload.reserve(total);
-      for (const auto& c : re.chunks) {
-        bundle.payload.insert(bundle.payload.end(), c.begin(), c.end());
-      }
-      reassembly_.erase({src, xfer});
-      done_ids_[xfer] = from;
-      done_order_.push_back(xfer);
-      while (done_order_.size() > kDoneCacheCap) {
-        done_ids_.erase(done_order_.front());
-        done_order_.pop_front();
-      }
-      {
-        util::MutexLock lock(mu_);
-        PortQueue& queue = port_queue(bundle.port);
-        queue.bundles.push_back(std::move(bundle));
-        queue.cv.notify_all();
-        ++stats_.bundles_received;
-        tm_.received->add();
-      }
-      send_control(kBudpDone, xfer, 0, {}, from);
-      return;
-    }
-    case kBudpDone: {
-      util::MutexLock lock(mu_);
-      const auto it = waiters_.find(xfer);
-      if (it != waiters_.end()) {
-        it->second->done = true;
-        it->second->cv.notify_all();
-      }
-      return;
-    }
-    case kBudpProbe: {
-      const std::uint32_t count = reader.u32();
-      if (done_ids_.count(xfer) != 0) {
-        send_control(kBudpDone, xfer, 0, {}, from);
-        return;
-      }
-      std::vector<std::uint32_t> missing;
-      const auto it = reassembly_.find({src, xfer});
-      if (it != reassembly_.end()) {
-        for (std::uint32_t i = 0;
-             i < it->second.frag_count && missing.size() < kMaxNackIndices;
-             ++i) {
-          if (!it->second.present[i]) missing.push_back(i);
-        }
-      } else {
-        // Every fragment lost (or long since GC'd): ask for the front
-        // window; later probes walk the rest.
-        for (std::uint32_t i = 0; i < count && missing.size() < kMaxNackIndices;
-             ++i) {
-          missing.push_back(i);
-        }
-      }
-      send_control(kBudpNack, xfer, 0, missing, from);
-      return;
-    }
-    case kBudpNack: {
-      const std::uint32_t n = reader.u32();
-      if (n == 0 || reader.remaining() < 4ull * n) return;
-      std::vector<std::uint32_t> missing(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        missing[i] = reader.u32();
-      }
-      util::MutexLock lock(mu_);
-      const auto it = waiters_.find(xfer);
-      if (it != waiters_.end()) {
-        // Validate against the transfer's fragment count: the resend path
-        // indexes headers[] and the payload by these values, and xfer ids
-        // are guessable, so an out-of-range index from the wire must never
-        // reach the burst.
-        auto& dest = it->second->missing;
-        const std::uint32_t limit = it->second->frag_count;
-        bool queued = false;
-        for (const std::uint32_t frag : missing) {
-          if (frag >= limit) continue;
-          dest.push_back(frag);
-          queued = true;
-        }
-        if (queued) it->second->cv.notify_all();
-      }
-      return;
-    }
-    default:
-      return;
-  }
-} catch (const util::CodecError&) {
-  // Truncated or malformed datagram: the reader ran off the end mid-field.
-  // Dropping it mirrors the old explicit length checks.
-}
-
-void BatchedUdpBackend::send_control(std::uint8_t type, std::uint64_t xfer,
-                                     std::uint32_t arg,
-                                     const std::vector<std::uint32_t>& missing,
-                                     const sockaddr_in& to) {
-  std::vector<std::uint8_t> out(kBudpBaseHeader + 4 + 4 * missing.size());
-  put_u32(out.data(), kBudpMagic);
-  out[4] = type;
-  put_u32(out.data() + 5, endpoint_.node());
-  put_u64(out.data() + 9, xfer);
-  std::size_t len = kBudpBaseHeader;
-  if (type == kBudpProbe) {
-    put_u32(out.data() + 17, arg);
-    len += 4;
-  } else if (type == kBudpNack) {
-    put_u32(out.data() + 17, static_cast<std::uint32_t>(missing.size()));
-    len += 4;
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      put_u32(out.data() + 21 + 4 * i, missing[i]);
-      len += 4;
-    }
-  }
-  // MOCHA_RAW_WIRE_OK: sockaddr cast is kernel ABI, not wire payload.
-  (void)::sendto(sock_, out.data(), len, 0,
-                 reinterpret_cast<const sockaddr*>(&to), sizeof(to));
 }
 
 // ---------------------------------------------------------------------------
@@ -637,12 +104,6 @@ std::unique_ptr<TransportBackend> make_bulk_backend(BulkBackend kind,
       return std::make_unique<UdpBulkBackend>(endpoint);
     case BulkBackend::kTcp:
       return std::make_unique<TcpBulkBackend>(endpoint);
-    case BulkBackend::kBatchedUdp: {
-      BatchedUdpOptions opts;
-      opts.recv_loss_pct = env_loss_pct();
-      opts.netem_seed ^= (static_cast<std::uint64_t>(endpoint.node()) << 32);
-      return std::make_unique<BatchedUdpBackend>(endpoint, opts);
-    }
   }
   return std::make_unique<UdpBulkBackend>(endpoint);
 }

@@ -96,7 +96,8 @@ enum MsgType : std::uint8_t {
 // receive loop is running.
 constexpr std::uint8_t kBulkCapUdp = 1u << 0;
 constexpr std::uint8_t kBulkCapTcp = 1u << 1;
-constexpr std::uint8_t kBulkCapBatchedUdp = 1u << 2;
+// 1u << 2 is reserved: it advertised a batched-UDP backend that was removed.
+// Do not reuse it, so an older peer's hello cannot be misread.
 
 // GRANT flags (paper Fig 5: VERSIONOK / NEEDNEWVERSION, plus the §4
 // blacklist refinement).
@@ -394,15 +395,14 @@ struct ShardMapReplyMsg {
 };
 
 // kBulkHello: daemon -> peer daemon (kDaemonPort). Advertises the sender's
-// bulk-receive capabilities: `backends` is a kBulkCap* bitmask, tcp_port /
-// budp_port are the TCP bulk listener and batched-UDP socket ports (host
-// byte order; 0 = that backend is not offered). The sender's IPv4 address is
-// not carried — the receiver already learned it from the datagram envelope.
+// bulk-receive capabilities: `backends` is a kBulkCap* bitmask, tcp_port is
+// the TCP bulk listener port (host byte order; 0 = TCP is not offered). The
+// sender's IPv4 address is not carried — the receiver already learned it
+// from the datagram envelope.
 struct BulkHelloMsg {
   std::uint32_t site = 0;
   std::uint8_t backends = kBulkCapUdp;
   std::uint16_t tcp_port = 0;
-  std::uint16_t budp_port = 0;
 
   void encode(util::Buffer& out) const {
     util::WireWriter writer(out);
@@ -410,14 +410,12 @@ struct BulkHelloMsg {
     writer.u32(site);
     writer.u8(backends);
     writer.u16(tcp_port);
-    writer.u16(budp_port);
   }
   static BulkHelloMsg decode(util::WireReader& reader) {
     BulkHelloMsg msg;
     msg.site = reader.u32();
     msg.backends = reader.u8();
     msg.tcp_port = reader.u16();
-    msg.budp_port = reader.u16();
     return msg;
   }
 };
@@ -430,7 +428,6 @@ struct BulkHelloAckMsg {
   std::uint32_t site = 0;
   std::uint8_t backends = kBulkCapUdp;
   std::uint16_t tcp_port = 0;
-  std::uint16_t budp_port = 0;
 
   void encode(util::Buffer& out) const {
     util::WireWriter writer(out);
@@ -438,14 +435,12 @@ struct BulkHelloAckMsg {
     writer.u32(site);
     writer.u8(backends);
     writer.u16(tcp_port);
-    writer.u16(budp_port);
   }
   static BulkHelloAckMsg decode(util::WireReader& reader) {
     BulkHelloAckMsg msg;
     msg.site = reader.u32();
     msg.backends = reader.u8();
     msg.tcp_port = reader.u16();
-    msg.budp_port = reader.u16();
     return msg;
   }
 };

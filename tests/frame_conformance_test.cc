@@ -340,7 +340,6 @@ TEST(LockWireCodec, BulkHelloRoundTrip) {
   msg.site = 42;
   msg.backends = replica::kBulkCapUdp | replica::kBulkCapTcp;
   msg.tcp_port = 40123;
-  msg.budp_port = 0;  // TCP offered, batched-UDP not
 
   util::Buffer wire;
   msg.encode(wire);
@@ -350,15 +349,13 @@ TEST(LockWireCodec, BulkHelloRoundTrip) {
   EXPECT_EQ(decoded.site, msg.site);
   EXPECT_EQ(decoded.backends, msg.backends);
   EXPECT_EQ(decoded.tcp_port, msg.tcp_port);
-  EXPECT_EQ(decoded.budp_port, msg.budp_port);
 }
 
 TEST(LockWireCodec, BulkHelloAckRoundTrip) {
   replica::BulkHelloAckMsg msg;
   msg.site = 7;
-  msg.backends = replica::kBulkCapUdp | replica::kBulkCapBatchedUdp;
-  msg.tcp_port = 0;
-  msg.budp_port = 50321;
+  msg.backends = replica::kBulkCapUdp;
+  msg.tcp_port = 0;  // UDP-only responder
 
   util::Buffer wire;
   msg.encode(wire);
@@ -368,7 +365,6 @@ TEST(LockWireCodec, BulkHelloAckRoundTrip) {
   EXPECT_EQ(decoded.site, msg.site);
   EXPECT_EQ(decoded.backends, msg.backends);
   EXPECT_EQ(decoded.tcp_port, msg.tcp_port);
-  EXPECT_EQ(decoded.budp_port, msg.budp_port);
 }
 
 TEST(LockWireCodec, TruncatedBulkHelloThrows) {
@@ -377,7 +373,7 @@ TEST(LockWireCodec, TruncatedBulkHelloThrows) {
   msg.tcp_port = 40123;
   util::Buffer wire;
   msg.encode(wire);
-  wire.resize(wire.size() - 3);  // cut inside the port fields
+  wire.resize(wire.size() - 1);  // cut inside the tcp_port field
   util::WireReader reader(wire);
   ASSERT_EQ(reader.u8(), replica::kBulkHello);
   EXPECT_THROW(replica::BulkHelloMsg::decode(reader), util::CodecError);

@@ -1,15 +1,16 @@
 // Hybrid bulk-transport tests (§10): the pluggable TransportBackend bulk
-// path — TCP bulk with its LRU connection cache, the batched-UDP speed lane
-// with probe/NACK repair, and the BULK-HELLO negotiation that lets mixed
-// deployments fall back to the MochaNet-UDP data port.
+// path — TCP bulk with its LRU connection cache, and the BULK-HELLO
+// negotiation that lets mixed deployments fall back to the MochaNet-UDP
+// data port.
 //
-// In-process tests drive the backends directly (typed kUnavailable /
-// kTimeout on refused and stalled peers, byte-equality round trips, loss
-// repair) and through the full daemon stack (fast path vs negotiation
-// fallback). The multi-process test forks the mocha_live CLI once per
-// backend (--bulk-backend udp / tcp) and asserts both runs leave
-// byte-identical replicas, with the tcp run demonstrably riding the fast
-// path (bulk_fast_served in the bench JSON).
+// In-process tests drive the TCP backend directly (typed kUnavailable /
+// kTimeout on refused and stalled peers, byte-equality round trips) and
+// through the full daemon stack (fast path vs negotiation fallback). Bundle
+// counts are read from the process-global metrics registry
+// ("bulk.<backend>.<node>.*") as before/after deltas. The multi-process
+// test forks the mocha_live CLI once per backend (--bulk-backend udp / tcp)
+// and asserts both runs leave byte-identical replicas, with the tcp run
+// demonstrably riding the fast path (bulk_fast_served in the bench JSON).
 //
 // All waits scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes set it).
 #include <gtest/gtest.h>
@@ -35,6 +36,7 @@
 #include "live/lock_client.h"
 #include "live/lock_server.h"
 #include "live/tcp_bulk.h"
+#include "live/telemetry.h"
 #include "live/transport_backend.h"
 
 #ifndef MOCHA_LIVE_BIN
@@ -59,6 +61,10 @@ util::Buffer make_payload(std::size_t n, std::uint8_t seed) {
 
 constexpr net::Port kBundlePort = 61;
 
+std::uint64_t metric(const std::string& name) {
+  return MetricsRegistry::global().counter(name)->value();
+}
+
 // Two loopback endpoints that know each other's UDP addresses — the
 // address table every backend resolves peers through.
 struct Pair {
@@ -73,16 +79,15 @@ struct Pair {
 TEST(BulkBackendName, ParsesAndNamesAllKinds) {
   EXPECT_EQ(parse_bulk_backend("udp"), BulkBackend::kUdp);
   EXPECT_EQ(parse_bulk_backend("tcp"), BulkBackend::kTcp);
-  EXPECT_EQ(parse_bulk_backend("batched-udp"), BulkBackend::kBatchedUdp);
-  EXPECT_EQ(parse_bulk_backend("budp"), BulkBackend::kBatchedUdp);
   EXPECT_FALSE(parse_bulk_backend("carrier-pigeon").has_value());
   EXPECT_STREQ(bulk_backend_name(BulkBackend::kUdp), "udp");
   EXPECT_STREQ(bulk_backend_name(BulkBackend::kTcp), "tcp");
-  EXPECT_STREQ(bulk_backend_name(BulkBackend::kBatchedUdp), "batched-udp");
 }
 
 TEST(TcpBulk, RoundTripReusesCachedConnection) {
   Pair net;
+  const std::uint64_t sent_before = metric("bulk.tcp.2.sent");
+  const std::uint64_t received_before = metric("bulk.tcp.3.received");
   TcpBulkBackend tx(net.a);
   TcpBulkBackend rx(net.b);
   tx.set_peer_contact(3, rx.contact_port());
@@ -104,19 +109,20 @@ TEST(TcpBulk, RoundTripReusesCachedConnection) {
 
   // Both frames rode ONE cached connection (the LRU hit, not a redial).
   EXPECT_EQ(tx.cached_connections(), 1u);
-  EXPECT_EQ(tx.stats().bundles_sent, 2u);
-  EXPECT_EQ(rx.stats().bundles_received, 2u);
+  EXPECT_EQ(metric("bulk.tcp.2.sent") - sent_before, 2u);
+  EXPECT_EQ(metric("bulk.tcp.3.received") - received_before, 2u);
 }
 
 TEST(TcpBulk, NoContactIsUnavailable) {
   Pair net;
+  const std::uint64_t failures_before = metric("bulk.tcp.2.failures");
   TcpBulkBackend tx(net.a);
   // Peer 3 never sent a BULK-HELLO: no contact port recorded.
   const util::Status status =
       tx.send_bundle(3, kBundlePort, make_payload(64, 3),
                      200'000LL * time_scale());
   EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ(tx.stats().send_failures, 1u);
+  EXPECT_EQ(metric("bulk.tcp.2.failures") - failures_before, 1u);
 }
 
 TEST(TcpBulk, ConnectRefusedIsUnavailable) {
@@ -148,6 +154,7 @@ TEST(TcpBulk, StalledPeerYieldsTypedTimeout) {
   TcpBulkOptions opts;
   opts.send_buffer_bytes = 4096;  // tiny SO_SNDBUF: a stalled reader bites
   TcpBulkBackend tx(net.a, opts);
+  const std::uint64_t failures_before = metric("bulk.tcp.2.failures");
 
   // A listener whose accept queue completes the handshake but which never
   // accepts or reads: the frame wedges in flight and the send deadline — a
@@ -169,7 +176,7 @@ TEST(TcpBulk, StalledPeerYieldsTypedTimeout) {
       tx.send_bundle(3, kBundlePort, make_payload(8 << 20, 5),
                      500'000LL * time_scale());
   EXPECT_EQ(status.code(), util::StatusCode::kTimeout) << status.to_string();
-  EXPECT_EQ(tx.stats().send_failures, 1u);
+  EXPECT_EQ(metric("bulk.tcp.2.failures") - failures_before, 1u);
   ::close(listener);
 }
 
@@ -190,56 +197,6 @@ TEST(TcpBulk, DrainClosesCachedConnections) {
   EXPECT_EQ(
       tx.send_bundle(3, kBundlePort, make_payload(64, 7), timeout).code(),
       util::StatusCode::kUnavailable);
-}
-
-TEST(BatchedUdp, RoundTripMovesMultiFragmentBundles) {
-  Pair net;
-  BatchedUdpBackend tx(net.a);
-  BatchedUdpBackend rx(net.b);
-  tx.set_peer_contact(3, rx.contact_port());
-
-  const util::Buffer payload = make_payload(1 << 20, 8);  // ~750 fragments
-  const std::int64_t timeout = 5'000'000LL * time_scale();
-  ASSERT_TRUE(tx.send_bundle(3, kBundlePort, payload, timeout).is_ok());
-  auto got = rx.recv_bundle(kBundlePort, timeout);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->src, 2u);
-  EXPECT_EQ(got->payload, payload);
-  EXPECT_EQ(tx.stats().bundles_sent, 1u);
-  EXPECT_EQ(rx.stats().bundles_received, 1u);
-}
-
-TEST(BatchedUdp, ProbeNackRepairSurvivesInjectedLoss) {
-  Pair net;
-  BatchedUdpBackend tx(net.a);
-  BatchedUdpOptions lossy;
-  lossy.recv_loss_pct = 25.0;  // every burst loses fragments
-  lossy.netem_seed = 0xfeedu;
-  BatchedUdpBackend rx(net.b, lossy);
-  tx.set_peer_contact(3, rx.contact_port());
-
-  const util::Buffer payload = make_payload(512 << 10, 9);
-  const std::int64_t timeout = 10'000'000LL * time_scale();
-  ASSERT_TRUE(tx.send_bundle(3, kBundlePort, payload, timeout).is_ok());
-  auto got = rx.recv_bundle(kBundlePort, timeout);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload, payload);
-  // At 25% inbound loss the first burst cannot have been complete: the
-  // probe/NACK loop must have resent fragments.
-  EXPECT_GT(tx.stats().repairs, 0u);
-}
-
-TEST(BatchedUdp, DeadPeerYieldsTypedTimeout) {
-  Pair net;
-  BatchedUdpBackend tx(net.a);
-  // Contact port where no batched-UDP socket lives: bursts and probes all
-  // vanish, DONE never comes.
-  tx.set_peer_contact(3, 1);
-  const util::Status status =
-      tx.send_bundle(3, kBundlePort, make_payload(2048, 10),
-                     300'000LL * time_scale());
-  EXPECT_EQ(status.code(), util::StatusCode::kTimeout) << status.to_string();
-  EXPECT_EQ(tx.stats().send_failures, 1u);
 }
 
 // --- Negotiation through the full daemon stack ---
@@ -289,6 +246,8 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
 
   Site a(2, server_ep.udp_port(), BulkBackend::kTcp);
   Site b(3, server_ep.udp_port(), BulkBackend::kTcp);
+  const std::uint64_t fast_sent_before = metric("bulk.tcp.2.sent");
+  const std::uint64_t fast_received_before = metric("bulk.tcp.3.received");
   const util::Buffer written = make_payload(262144, 11);
   a.daemon.register_replica(kLock, "replica", util::Buffer{});
   b.daemon.register_replica(kLock, "replica", util::Buffer{});
@@ -301,7 +260,7 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   // applying it, B announces its TCP capability to A.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
-  EXPECT_EQ(a.daemon.stats().bulk_fast_served, 0u);
+  EXPECT_EQ(metric("bulk.tcp.2.sent") - fast_sent_before, 0u);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   // B -> A, then A -> B again. The hello left B before B's release, and A's
@@ -311,12 +270,16 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   ASSERT_TRUE(a.client.release(kLock).is_ok());
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
-  EXPECT_EQ(a.daemon.stats().bulk_fast_served, 1u);
+  // A counts the TCP send once the frame is written, which can be after B
+  // applied it.
+  EXPECT_TRUE(eventually(
+      [&] { return metric("bulk.tcp.2.sent") - fast_sent_before == 1; }));
+  EXPECT_EQ(metric("bulk.tcp.2.sent") - fast_sent_before, 1u);
   EXPECT_EQ(a.daemon.stats().bulk_fallbacks, 0u);
-  EXPECT_GE(a.daemon.stats().bulk_peers_known, 1u);
+  EXPECT_NE(a.daemon.peer_bulk_caps(3), 0u);
   EXPECT_EQ(a.daemon.peer_bulk_caps(3) & replica::kBulkCapTcp,
             replica::kBulkCapTcp);
-  EXPECT_EQ(b.daemon.bulk_transport_stats().bundles_received, 1u);
+  EXPECT_EQ(metric("bulk.tcp.3.received") - fast_received_before, 1u);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   EXPECT_TRUE(a.daemon.drain_bulk(2'000'000LL * time_scale()));
@@ -332,6 +295,7 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   // A is UDP-only (an "old binary"); B receives with the TCP backend enabled.
   Site a(2, server_ep.udp_port(), BulkBackend::kUdp);
   Site b(3, server_ep.udp_port(), BulkBackend::kTcp);
+  const std::uint64_t fast_sent_before = metric("bulk.tcp.2.sent");
   const util::Buffer written = make_payload(65536, 12);
   a.daemon.register_replica(kLock, "replica", util::Buffer{});
   b.daemon.register_replica(kLock, "replica", util::Buffer{});
@@ -344,7 +308,7 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   // advertisement changes nothing: A has no fast backend to use it with.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
-  EXPECT_EQ(a.daemon.stats().bulk_fast_served, 0u);
+  EXPECT_EQ(metric("bulk.tcp.2.sent") - fast_sent_before, 0u);
   EXPECT_EQ(a.daemon.stats().transfers_served, 1u);
   // A still recorded B's hello (capabilities survive for a later upgrade),
   // and B heard back that A is UDP-only.

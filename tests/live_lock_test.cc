@@ -5,7 +5,8 @@
 //   - every client completes all its acquire/release rounds (exit 0),
 //   - mutual exclusion held: the non-atomic read-increment-write counter the
 //     clients bump under the lock shows zero lost updates,
-//   - the server granted exactly rounds x clients locks and broke none.
+//   - the server granted exactly rounds x clients locks and broke none
+//     (its final --stats-json registry dump).
 //
 // 3 clients x 400 rounds = 1200 acquire/release cycles end to end.
 #include <gtest/gtest.h>
@@ -56,6 +57,8 @@ std::string slurp(const std::string& path) {
 }
 
 // Minimal extraction of  "key": <integer>  from the stats/bench JSON.
+// Registry keys are full metric names ("shard.0.grants"), so a quoted match
+// is exact.
 long long json_int(const std::string& json, const std::string& key) {
   const auto pos = json.find("\"" + key + "\"");
   if (pos == std::string::npos) return -1;
@@ -76,7 +79,7 @@ TEST(LiveLock, ThreeClientsMutualExclusionOverLoopback) {
   const std::string counter = dir + "/counter";
 
   const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
-                              "--ready-file", ready, "--stats-file", stats,
+                              "--ready-file", ready, "--stats-json", stats,
                               "--quiet"});
 
   // The server writes its (kernel-chosen) UDP port to the ready file.
@@ -120,10 +123,10 @@ TEST(LiveLock, ThreeClientsMutualExclusionOverLoopback) {
   EXPECT_EQ(counted, kClients * kRounds);
 
   const std::string stats_json = slurp(stats);
-  EXPECT_EQ(json_int(stats_json, "grants"), kClients * kRounds);
-  EXPECT_EQ(json_int(stats_json, "releases"), kClients * kRounds);
-  EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
-  EXPECT_EQ(json_int(stats_json, "registrations"), kClients);
+  EXPECT_EQ(json_int(stats_json, "shard.0.grants"), kClients * kRounds);
+  EXPECT_EQ(json_int(stats_json, "shard.0.releases"), kClients * kRounds);
+  EXPECT_EQ(json_int(stats_json, "shard.0.lease_breaks"), 0);
+  EXPECT_EQ(json_int(stats_json, "shard.0.registrations"), kClients);
 
   // The benchmark JSON must exist and carry real (positive) latencies.
   const std::string bench = slurp(dir + "/BENCH_live_lock_acquire.json");
@@ -146,7 +149,7 @@ TEST(LiveLock, SharedReadersComplete) {
   const std::string stats = dir + "/stats.json";
 
   const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
-                              "--ready-file", ready, "--stats-file", stats,
+                              "--ready-file", ready, "--stats-json", stats,
                               "--quiet"});
   std::string port;
   for (int i = 0; i < 100 && port.empty(); ++i) {
@@ -169,9 +172,9 @@ TEST(LiveLock, SharedReadersComplete) {
   EXPECT_EQ(join(server), 0);
 
   const std::string stats_json = slurp(stats);
-  EXPECT_EQ(json_int(stats_json, "grants"), kClients * kRounds);
-  EXPECT_EQ(json_int(stats_json, "releases"), kClients * kRounds);
-  EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
+  EXPECT_EQ(json_int(stats_json, "shard.0.grants"), kClients * kRounds);
+  EXPECT_EQ(json_int(stats_json, "shard.0.releases"), kClients * kRounds);
+  EXPECT_EQ(json_int(stats_json, "shard.0.lease_breaks"), 0);
 }
 
 }  // namespace

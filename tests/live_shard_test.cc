@@ -10,8 +10,9 @@
 //   - every client fetched the shard map and finished all rounds (exit 0),
 //   - mutual exclusion held per lock (no lost counter updates),
 //   - the traffic really split: each shard granted exactly its own lock's
-//     rounds (the per-shard stats array), none were broken,
-//   - the aggregate stats equal the sum of the shard rows.
+//     rounds (the per-shard "shard.<id>.*" counters of the server's final
+//     --stats-json registry dump), none were broken,
+//   - the sums over both shards match the whole workload.
 //
 // Runs in the ASan/TSan lanes; the sanitizer jobs export
 // MOCHA_NETEM_LOSS_PCT / MOCHA_NETEM_DELAY_US (2% / 20 ms), which the
@@ -67,14 +68,26 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-// Minimal extraction of  "key": <integer>  starting at `from`.
-long long json_int(const std::string& json, const std::string& key,
-                   std::size_t from = 0) {
-  const auto pos = json.find("\"" + key + "\"", from);
+// Minimal extraction of  "key": <integer>  from a --stats-json dump.
+long long json_int(const std::string& json, const std::string& key) {
+  const auto pos = json.find("\"" + key + "\"");
   if (pos == std::string::npos) return -1;
   const auto colon = json.find(':', pos);
   if (colon == std::string::npos) return -1;
   return std::stoll(json.substr(colon + 1));
+}
+
+// "shard.<id>.<leaf>" from a --stats-json dump.
+long long shard_metric(const std::string& json, std::uint32_t shard,
+                       const std::string& leaf) {
+  return json_int(json, "shard." + std::to_string(shard) + "." + leaf);
+}
+
+// Sum of "shard.<id>.<leaf>" over shards 0 and 1; -1 if either is missing.
+long long both_shards(const std::string& json, const std::string& leaf) {
+  const long long s0 = shard_metric(json, 0, leaf);
+  const long long s1 = shard_metric(json, 1, leaf);
+  return s0 < 0 || s1 < 0 ? -1 : s0 + s1;
 }
 
 // The two-shard map clients and servers agree on (docs/PROTOCOL.md §9):
@@ -116,7 +129,7 @@ TEST(LiveShard, TwoShardsSixClientsMutualExclusion) {
 
   const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
                               "--shards", "2", "--ready-file", ready,
-                              "--stats-file", stats, "--quiet"});
+                              "--stats-json", stats, "--quiet"});
 
   // The ready file carries one space-separated bound UDP port per shard;
   // the first is the bootstrap (shard 0) address clients dial.
@@ -161,37 +174,32 @@ TEST(LiveShard, TwoShardsSixClientsMutualExclusion) {
   const std::string stats_json = slurp(stats);
   const long long per_lock = kClientsPerLock * kRounds;
 
-  // Aggregate keys (sum over shards).
-  EXPECT_EQ(json_int(stats_json, "grants"), 2 * per_lock);
-  EXPECT_EQ(json_int(stats_json, "releases"), 2 * per_lock);
-  EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
-  EXPECT_EQ(json_int(stats_json, "registrations"), 2 * kClientsPerLock);
+  // Sums over both shards.
+  EXPECT_EQ(both_shards(stats_json, "grants"), 2 * per_lock);
+  EXPECT_EQ(both_shards(stats_json, "releases"), 2 * per_lock);
+  EXPECT_EQ(both_shards(stats_json, "lease_breaks"), 0);
+  EXPECT_EQ(both_shards(stats_json, "registrations"), 2 * kClientsPerLock);
   // Every client performed the registration handshake against shard 0.
-  EXPECT_EQ(json_int(stats_json, "shard_map_requests"), 2 * kClientsPerLock);
+  EXPECT_EQ(both_shards(stats_json, "shard_map_requests"),
+            2 * kClientsPerLock);
 
-  // Per-shard rows: the split must match the lock placement exactly —
+  // Per-shard counters: the split must match the lock placement exactly —
   // shard 0 granted only lock A's rounds, shard 1 only lock B's.
-  const auto rows = stats_json.find("\"shards\"");
-  ASSERT_NE(rows, std::string::npos);
-  const auto shard0_row = stats_json.find("{\"shard\": 0", rows);
-  const auto shard1_row = stats_json.find("{\"shard\": 1", rows);
-  ASSERT_NE(shard0_row, std::string::npos);
-  ASSERT_NE(shard1_row, std::string::npos);
-  EXPECT_EQ(json_int(stats_json, "grants", shard0_row), per_lock);
-  EXPECT_EQ(json_int(stats_json, "grants", shard1_row), per_lock);
-  EXPECT_EQ(json_int(stats_json, "releases", shard0_row), per_lock);
-  EXPECT_EQ(json_int(stats_json, "releases", shard1_row), per_lock);
-  EXPECT_EQ(json_int(stats_json, "locks_broken", shard0_row), 0);
-  EXPECT_EQ(json_int(stats_json, "locks_broken", shard1_row), 0);
+  EXPECT_EQ(shard_metric(stats_json, 0, "grants"), per_lock);
+  EXPECT_EQ(shard_metric(stats_json, 1, "grants"), per_lock);
+  EXPECT_EQ(shard_metric(stats_json, 0, "releases"), per_lock);
+  EXPECT_EQ(shard_metric(stats_json, 1, "releases"), per_lock);
+  EXPECT_EQ(shard_metric(stats_json, 0, "lease_breaks"), 0);
+  EXPECT_EQ(shard_metric(stats_json, 1, "lease_breaks"), 0);
   // Gauges drained back to idle, and each shard's reactor really looped.
-  EXPECT_EQ(json_int(stats_json, "queued_waiters", shard0_row), 0);
-  EXPECT_EQ(json_int(stats_json, "queued_waiters", shard1_row), 0);
-  EXPECT_EQ(json_int(stats_json, "active_leases", shard0_row), 0);
-  EXPECT_EQ(json_int(stats_json, "active_leases", shard1_row), 0);
-  EXPECT_GT(json_int(stats_json, "reactor_iterations", shard0_row), 0);
-  EXPECT_GT(json_int(stats_json, "reactor_iterations", shard1_row), 0);
-  EXPECT_GE(json_int(stats_json, "max_epoll_batch", shard0_row), 1);
-  EXPECT_GE(json_int(stats_json, "max_epoll_batch", shard1_row), 1);
+  EXPECT_EQ(shard_metric(stats_json, 0, "queue_depth"), 0);
+  EXPECT_EQ(shard_metric(stats_json, 1, "queue_depth"), 0);
+  EXPECT_EQ(shard_metric(stats_json, 0, "active_leases"), 0);
+  EXPECT_EQ(shard_metric(stats_json, 1, "active_leases"), 0);
+  EXPECT_GT(shard_metric(stats_json, 0, "reactor.iterations"), 0);
+  EXPECT_GT(shard_metric(stats_json, 1, "reactor.iterations"), 0);
+  EXPECT_GE(shard_metric(stats_json, 0, "reactor.max_epoll_batch"), 1);
+  EXPECT_GE(shard_metric(stats_json, 1, "reactor.max_epoll_batch"), 1);
 }
 
 // Many simulated clients in one process over a wide Zipf lock space: each
@@ -212,7 +220,7 @@ TEST(LiveShard, WideLockSpaceKeepsClientReplyPortsDisjoint) {
 
   const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
                               "--shards", "2", "--ready-file", ready,
-                              "--stats-file", stats, "--quiet"});
+                              "--stats-json", stats, "--quiet"});
   std::string port_0;
   for (int i = 0; i < 100 && port_0.empty(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -248,9 +256,9 @@ TEST(LiveShard, WideLockSpaceKeepsClientReplyPortsDisjoint) {
   EXPECT_GT(locks_touched, 64);
 
   const std::string stats_json = slurp(stats);
-  EXPECT_EQ(json_int(stats_json, "grants"), kClients * kRounds);
-  EXPECT_EQ(json_int(stats_json, "releases"), kClients * kRounds);
-  EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
+  EXPECT_EQ(both_shards(stats_json, "grants"), kClients * kRounds);
+  EXPECT_EQ(both_shards(stats_json, "releases"), kClients * kRounds);
+  EXPECT_EQ(both_shards(stats_json, "lease_breaks"), 0);
 }
 
 // A client process whose reply-port ranges would run past the 16-bit port

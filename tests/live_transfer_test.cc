@@ -5,8 +5,8 @@
 // (node 1, optionally with a "home" daemon) plus two or three clients — and
 // exercise the push the server directs with every NEED_NEW_VERSION grant,
 // the lastLockOwner short-circuit, daemon-less requesters, shared-reader
-// batches, the home-daemon retry, and the typed timeout when no daemon ever
-// answers.
+// batches, the home-daemon retry, the typed timeout when no daemon ever
+// answers, and a directive naming a site the daemon cannot reach.
 //
 // The multi-process test forks the mocha_live CLI (MOCHA_LIVE_BIN) as one
 // server and two --replica-bytes clients ping-ponging an exclusive lock at
@@ -33,6 +33,7 @@
 #include "live/endpoint.h"
 #include "live/lock_client.h"
 #include "live/lock_server.h"
+#include "live/telemetry.h"
 
 #ifndef MOCHA_LIVE_BIN
 #error "MOCHA_LIVE_BIN must point at the mocha_live executable"
@@ -86,6 +87,11 @@ std::uint64_t transfers_directed() {
   Counter* directed =
       MetricsRegistry::global().counter("shard.0.transfers_directed");
   return directed->value();
+}
+
+// Shard 0's queued-waiter gauge.
+std::int64_t queue_depth() {
+  return MetricsRegistry::global().gauge("shard.0.queue_depth")->value();
 }
 
 // The two clients never exchange a datagram before the transfer: the server
@@ -183,11 +189,10 @@ TEST(LiveTransfer, SharedReadersGrantedInOneBatchEachGetTheBundle) {
   });
   const auto give_up = std::chrono::steady_clock::now() +
                        std::chrono::seconds(5 * time_scale());
-  while (server.stats().queued_waiters < 2 &&
-         std::chrono::steady_clock::now() < give_up) {
+  while (queue_depth() < 2 && std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(server.stats().queued_waiters, 2u);
+  ASSERT_EQ(queue_depth(), 2);
   const std::uint64_t directed_before = transfers_directed();
   ASSERT_TRUE(a.client.release(kLock).is_ok());
   reader_b.join();
@@ -314,6 +319,52 @@ TEST(LiveTransfer, SurfacesTypedTimeoutWhenTransferNeverArrives) {
   server.stop();
 }
 
+// A directive naming a site this daemon's endpoint has never heard of (no
+// introduction, no envelope) cannot be served. The bundle is never handed
+// to a transport, so neither the daemon's view nor its registry counters
+// count it.
+TEST(LiveTransfer, DirectiveToUnknownSiteCountsNothing) {
+  constexpr net::NodeId kOwner = 2;
+  constexpr net::NodeId kDirector = 3;
+  constexpr net::NodeId kNowhere = 99;
+  constexpr net::Port kReplyPort = 77;
+  Endpoint owner_ep(kOwner, 0);
+  DaemonService owner(owner_ep);
+  owner.register_replica(kLock, "replica", make_payload(1024, 3));
+  owner.publish(kLock, 1);
+  owner.start();
+  Endpoint director(kDirector, 0);
+  director.add_peer(kOwner, "127.0.0.1", owner_ep.udp_port());
+
+  MetricsRegistry& registry = MetricsRegistry::global();
+  Counter* served = registry.counter("daemon.2.transfers_served");
+  Counter* bytes_out = registry.counter("daemon.2.bytes_out");
+  const std::uint64_t served_before = served->value();
+  const std::uint64_t bytes_before = bytes_out->value();
+
+  replica::TransferReplicaMsg directive;
+  directive.lock_id = kLock;
+  directive.version = 1;
+  directive.dst_site = kNowhere;
+  directive.dst_port = replica::kDaemonDataPort;
+  util::Buffer msg;
+  directive.encode(msg);
+  director.send(kOwner, replica::kDaemonPort, std::move(msg));
+  // The control loop serves its port in order: once the poll that follows
+  // the directive is answered, the directive has been handled.
+  util::Buffer poll;
+  replica::PollVersionMsg{kLock, kReplyPort}.encode(poll);
+  director.send(kOwner, replica::kDaemonPort, std::move(poll));
+  ASSERT_TRUE(director.recv_for(kReplyPort, 5'000'000LL * time_scale())
+                  .has_value());
+
+  EXPECT_FALSE(owner_ep.knows_peer(kNowhere));
+  EXPECT_EQ(owner.stats().transfers_served, 0u);
+  EXPECT_EQ(served->value() - served_before, 0u);
+  EXPECT_EQ(bytes_out->value() - bytes_before, 0u);
+  owner.stop();
+}
+
 // --- Multi-process: forked mocha_live ping-pong with real replica bytes ---
 
 pid_t spawn(const std::vector<std::string>& args) {
@@ -359,7 +410,7 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
   const std::string stats = dir + "/stats.json";
 
   const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
-                              "--ready-file", ready, "--stats-file", stats,
+                              "--ready-file", ready, "--stats-json", stats,
                               "--quiet"});
   std::string port;
   for (int i = 0; i < 100 && port.empty(); ++i) {
@@ -409,7 +460,7 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
   EXPECT_NE(dump_a.find("262144 "), std::string::npos);
 
   const std::string stats_json = slurp(stats);
-  EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
+  EXPECT_EQ(json_int(stats_json, "shard.0.lease_breaks"), 0);
 
   const std::string bench = slurp(dir + "/BENCH_live_transfer.json");
   ASSERT_FALSE(bench.empty()) << "BENCH_live_transfer.json not written";

@@ -9,7 +9,9 @@
 //   - timers past one wheel turn wait their rounds out (no early fire);
 //   - post() runs on the loop thread;
 //   - an Endpoint's set_ready_fd() eventfd drives a reactor fd handler even
-//     with userspace netem delay on the receive path.
+//     with userspace netem delay on the receive path;
+//   - the loop counts its work in the metrics registry under the prefix its
+//     owner names.
 //
 // All wall-clock margins scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes
 // set it).
@@ -22,11 +24,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "live/endpoint.h"
 #include "live/reactor.h"
+#include "live/telemetry.h"
 
 namespace mocha::live {
 namespace {
@@ -43,8 +47,23 @@ std::int64_t scaled(std::int64_t us) {
   return static_cast<std::int64_t>(static_cast<double>(us) * time_scale());
 }
 
+// A registry prefix no other reactor in this process uses, so a reactor's
+// counters read as its own counts.
+std::string fresh_prefix() {
+  static int next = 0;
+  return "test.reactor." + std::to_string(next++) + ".";
+}
+
+std::int64_t metric(const std::string& prefix, const std::string& leaf) {
+  for (const auto& m : MetricsRegistry::global().snapshot().metrics) {
+    if (m.name == prefix + leaf) return m.value;
+  }
+  return -1;
+}
+
 TEST(Reactor, TimersFireInDeadlineOrderAcrossArmOrder) {
-  Reactor reactor;
+  const std::string prefix = fresh_prefix();
+  Reactor reactor(prefix);
   std::vector<int> order;
   // Armed out of deadline order on purpose.
   reactor.call_after(scaled(30'000), [&] { order.push_back(3); });
@@ -55,13 +74,12 @@ TEST(Reactor, TimersFireInDeadlineOrderAcrossArmOrder) {
   reactor.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(reactor.pending_timers(), 0u);
-  const Reactor::Stats stats = reactor.stats();
-  EXPECT_EQ(stats.timers_fired, 4u);
-  EXPECT_GT(stats.iterations, 0u);
+  EXPECT_EQ(metric(prefix, "timers_fired"), 4);
+  EXPECT_GT(metric(prefix, "iterations"), 0);
 }
 
 TEST(Reactor, SameDeadlineTimersFireInCreationOrder) {
-  Reactor reactor;
+  Reactor reactor(fresh_prefix());
   Clock& clock = Clock::monotonic();
   const std::int64_t deadline = clock.now_us() + scaled(15'000);
   std::vector<int> order;
@@ -74,7 +92,8 @@ TEST(Reactor, SameDeadlineTimersFireInCreationOrder) {
 }
 
 TEST(Reactor, CancelPreventsFiringAndReportsPendingState) {
-  Reactor reactor;
+  const std::string prefix = fresh_prefix();
+  Reactor reactor(prefix);
   bool fired = false;
   const Reactor::TimerId id =
       reactor.call_after(scaled(10'000), [&] { fired = true; });
@@ -86,13 +105,13 @@ TEST(Reactor, CancelPreventsFiringAndReportsPendingState) {
   reactor.run();
   EXPECT_FALSE(fired);
   // The orphaned wheel entry was skipped, not fired.
-  EXPECT_EQ(reactor.stats().timers_fired, 1u);  // only the stop timer
+  EXPECT_EQ(metric(prefix, "timers_fired"), 1);  // only the stop timer
 }
 
 TEST(Reactor, CancelFromAnotherTimersCallback) {
   // The lease pattern: handle_release() runs in one callback and cancels
   // the pending lease-expiry timer of the same request.
-  Reactor reactor;
+  Reactor reactor(fresh_prefix());
   bool lease_fired = false;
   const Reactor::TimerId lease =
       reactor.call_after(scaled(30'000), [&] { lease_fired = true; });
@@ -109,7 +128,7 @@ TEST(Reactor, TimerBeyondOneWheelTurnWaitsItsRoundsOut) {
   ReactorOptions opts;
   opts.tick_us = scaled(2'000);
   opts.wheel_slots = 16;
-  Reactor reactor(opts);
+  Reactor reactor(fresh_prefix(), opts);
   Clock& clock = Clock::monotonic();
   const std::int64_t armed_at = clock.now_us();
   const std::int64_t delay = scaled(80'000);
@@ -124,7 +143,8 @@ TEST(Reactor, TimerBeyondOneWheelTurnWaitsItsRoundsOut) {
 }
 
 TEST(Reactor, PostRunsCallbackOnLoopThread) {
-  Reactor reactor;
+  const std::string prefix = fresh_prefix();
+  Reactor reactor(prefix);
   std::atomic<bool> done{false};
   std::thread::id loop_thread_id;
   std::thread loop([&] {
@@ -151,11 +171,12 @@ TEST(Reactor, PostRunsCallbackOnLoopThread) {
   loop.join();
   EXPECT_EQ(ran_on, loop_thread_id);
   EXPECT_NE(ran_on, std::this_thread::get_id());
-  EXPECT_GE(reactor.stats().callbacks_run, 1u);
+  EXPECT_GE(metric(prefix, "callbacks_run"), 1);
 }
 
 TEST(Reactor, FdHandlerSeesEventfdReadiness) {
-  Reactor reactor;
+  const std::string prefix = fresh_prefix();
+  Reactor reactor(prefix);
   const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   ASSERT_GE(efd, 0);
   std::atomic<int> hits{0};
@@ -185,14 +206,13 @@ TEST(Reactor, FdHandlerSeesEventfdReadiness) {
   reactor.stop();
   loop.join();
   EXPECT_EQ(hits.load(), 3);
-  const Reactor::Stats stats = reactor.stats();
-  EXPECT_GE(stats.fd_events, 3u);
-  EXPECT_GE(stats.max_epoll_batch, 1u);
+  EXPECT_GE(metric(prefix, "fd_events"), 3);
+  EXPECT_GE(metric(prefix, "max_epoll_batch"), 1);
   ::close(efd);
 }
 
 TEST(Reactor, UnwatchFromInsideHandlerIsSafe) {
-  Reactor reactor;
+  Reactor reactor(fresh_prefix());
   const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   ASSERT_GE(efd, 0);
   std::atomic<int> hits{0};
@@ -237,7 +257,7 @@ TEST(Reactor, EndpointReadyFdDrivesReactorUnderNetemDelay) {
 
   constexpr net::Port kPort = 7;
   constexpr int kMessages = 5;
-  Reactor reactor;
+  Reactor reactor(fresh_prefix());
   const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   ASSERT_GE(efd, 0);
   std::atomic<int> received{0};

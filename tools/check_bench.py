@@ -130,10 +130,17 @@ def compare_file(
     return rows
 
 
+def fmt_value(value: float) -> str:
+    """A metric value for humans: whole numbers at and above 1000, four
+    significant digits below (ratio metrics such as scaling_x4_inverse sit
+    near 1 and must not round to an integer)."""
+    return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
 def row_line(row: dict, max_regress_pct: float) -> str:
     return (
-        f"{row['file']}: {row['metric']} {row['base']:.0f} -> "
-        f"{row['cand']:.0f} ({row['delta_pct']:+.1f}%, "
+        f"{row['file']}: {row['metric']} {fmt_value(row['base'])} -> "
+        f"{fmt_value(row['cand'])} ({row['delta_pct']:+.1f}%, "
         f"budget +{max_regress_pct:.0f}%)"
     )
 
@@ -148,8 +155,9 @@ def markdown_table(rows: list[dict], max_regress_pct: float) -> str:
     for row in rows:
         status = "pass" if row["ok"] else "**FAIL**"
         lines.append(
-            f"| {row['file']} | {row['metric']} | {row['base']:.0f} "
-            f"| {row['cand']:.0f} | {row['delta_pct']:+.1f}% | {status} |"
+            f"| {row['file']} | {row['metric']} "
+            f"| {fmt_value(row['base'])} | {fmt_value(row['cand'])} "
+            f"| {row['delta_pct']:+.1f}% | {status} |"
         )
     return "\n".join(lines) + "\n"
 
@@ -225,6 +233,18 @@ def self_test() -> int:
     table = markdown_table(rows, 15.0)
     if "**FAIL**" not in table or "p99_latency" not in table:
         failures.append(f"markdown table missing FAIL row:\n{table}")
+
+    # Sub-1 ratios keep their digits in the log line and the table: a
+    # 0.6894 -> 1.001 regression must not print as "1 -> 1".
+    rows = compare_file(
+        {"scaling_x4_inverse": 0.6894}, {"scaling_x4_inverse": 1.001},
+        "BENCH_live_shards.json", ["scaling_x4_inverse"], 15.0)
+    line = row_line(rows[0], 15.0)
+    table = markdown_table(rows, 15.0)
+    if "0.6894 -> 1.001" not in line or "| 0.6894 | 1.001 |" not in table:
+        failures.append(f"ratio metric lost its digits: {line!r}\n{table}")
+    if fmt_value(62107.4) != "62107":
+        failures.append(f"large value misformatted: {fmt_value(62107.4)!r}")
 
     # A metric that vanished from the candidate is a hard error, not a pass.
     try:

@@ -31,7 +31,10 @@ Parses the two wire enums straight out of the source text —
      docs/OBSERVABILITY.md catalog or scraped by tools/mocha_top.py
      appears in a string literal under src/ — a cataloged metric no code
      produces is a stale doc row, and a scraped one is a dashboard that
-     silently reads zeros.
+     silently reads zeros — and, the other way round, every metric leaf
+     src/live/ registers through a ``counter(``/``gauge(``/``histogram(``
+     call with a string literal has a catalog row (an uncataloged metric
+     is one nobody can read a dump against).
 
 Run with ``--self-test`` to prove the lint still catches violations: it
 re-runs every check against deliberately broken in-memory copies of the
@@ -221,6 +224,42 @@ def metric_leaves_from_top(top: str) -> list[str]:
     return leaves
 
 
+def metric_leaves_registered(text: str) -> list[str]:
+    """Leaf names a source file registers in the metrics registry.
+
+    Finds ``.counter(``/``.gauge(``/``.histogram(`` calls (the registry
+    accessors; declarations such as ``MetricsRegistry::counter(`` have no
+    leading dot), reads the argument list up to its matching parenthesis,
+    and takes its last string literal — names are built as
+    ``prefix + "leaf"``, so the leaf is the segment of that literal after
+    its last dot.
+    """
+    leaves: list[str] = []
+    for call in re.finditer(r"\.(?:counter|gauge|histogram)\(", text):
+        depth, i, in_string = 1, call.end(), False
+        while i < len(text) and depth > 0:
+            ch = text[i]
+            if in_string:
+                if ch == "\\":
+                    i += 1
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            i += 1
+        literals = re.findall(r'"([^"\n]*)"', text[call.end():i])
+        if not literals:
+            continue
+        leaf = literals[-1].rstrip(".").rsplit(".", 1)[-1]
+        if re.fullmatch(r"\w+", leaf):
+            leaves.append(leaf)
+    return leaves
+
+
 def check_observability(files: dict[str, str], findings: list[str]) -> None:
     # 6a: the event vocabulary is live — an enumerator nobody records is
     # either dead weight or a recorder that silently fell out in a refactor
@@ -267,6 +306,20 @@ def check_observability(files: dict[str, str], findings: list[str]) -> None:
                 f"{MOCHA_TOP} scrapes metric `{leaf}` but no string literal "
                 f"under src/ produces it (the dashboard would read zeros)"
             )
+
+    # 6d: the reverse of 6b — every leaf the live runtime registers has a
+    # catalog row.
+    cataloged = set(metric_leaves_from_doc(files[OBSERVABILITY_DOC]))
+    for path, text in sorted(files.items()):
+        if not path.startswith("src/live/"):
+            continue
+        for leaf in sorted(set(metric_leaves_registered(text))):
+            if leaf not in cataloged:
+                findings.append(
+                    f"{path} registers metric `{leaf}` but "
+                    f"{OBSERVABILITY_DOC} has no catalog row for it "
+                    f"(undocumented metric)"
+                )
 
 
 def run_lint(files: dict[str, str]) -> list[str]:
@@ -446,6 +499,23 @@ def self_test(files: dict[str, str]) -> int:
     found = run_lint(broken)
     if not any("phantom_retx" in f and "read zeros" in f for f in found):
         failures.append(f"scraped-but-unproduced metric not flagged: {found}")
+
+    # Rule 6d: a metric the live runtime registers without a catalog row
+    # must be flagged (a new counter added next to an existing one, the
+    # way a careless change adds one).
+    broken = mutate(
+        files,
+        "src/live/lock_server.cc",
+        'registry.counter(prefix + "acquires");',
+        'registry.counter(prefix + "acquires");\n'
+        '  (void)registry.counter(prefix + "phantom_undocumented");',
+    )
+    found = run_lint(broken)
+    if not any(
+        "phantom_undocumented" in f and "undocumented metric" in f
+        for f in found
+    ):
+        failures.append(f"uncataloged registered metric not flagged: {found}")
 
     # Removing a dispatcher case must be flagged for that backend.
     broken = mutate(

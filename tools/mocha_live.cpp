@@ -1,7 +1,7 @@
 // mocha_live — run the MochaNet lock protocol between real OS processes.
 //
 // Server (the synchronization thread, paper §3; sharded per PROTOCOL.md §9):
-//   mocha_live --server --port 7000 [--shards N] [--stats-file stats.json]
+//   mocha_live --server --port 7000 [--shards N] [--stats-json stats.json]
 //              [--ready-file ready] [--lease-grace-us N] [--advertise HOST]
 //   Hosts N lock-directory shards in this process (default 1), one reactor
 //   thread + endpoint each; shard 0 is node 1 on --port (0 = ephemeral),
@@ -9,9 +9,9 @@
 //   ready file lists every hosted shard's UDP port, space-separated, shard 0
 //   first. Clients fetch the shard map from any shard at registration;
 //   --advertise sets the address the map hands out (default 127.0.0.1).
-//   Serves until SIGTERM/SIGINT, then writes stats and exits 0. The stats
-//   JSON keeps the historical aggregate keys and adds a per-shard "shards"
-//   array (queued waiters, active leases, reactor iterations, epoll batch).
+//   Serves until SIGTERM/SIGINT, then writes its final registry dump
+//   (--stats-json, MOCHA_STATS_DIR; per-shard counters are
+//   "shard.<id>.*") before any teardown, and exits 0.
 //
 //   Multi-process sharding: run one process per shard with --shard-id K and
 //   the full fixed-port deployment in --shard-addrs HOST:PORT,HOST:PORT,...
@@ -75,7 +75,7 @@
 //   p50/p99 acquire-with-transfer latency per size.
 //
 // Bulk transport (server and client, PROTOCOL.md §10): --bulk-backend
-// {udp,tcp,batched-udp} selects how daemon→daemon replica bundles move
+// {udp,tcp} selects how daemon→daemon replica bundles move
 // (control messages always stay on MochaNet UDP). When the flag is absent,
 // MOCHA_BULK_BACKEND in the environment applies; default udp. Non-UDP
 // deployments negotiate per peer via BULK-HELLO and fall back to udp against
@@ -99,7 +99,8 @@
 // with the same document every second; SIGUSR1 dumps the flight-recorder
 // rings as JSON-lines to --flight-json (or a default path). When
 // MOCHA_STATS_DIR is set, both documents are additionally written there at
-// exit — the CI failure-artifact hook.
+// exit — the CI failure-artifact hook. A server takes these final dumps
+// before it stops its shards and lingers for the retransmit flush.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -168,7 +169,6 @@ struct Args {
   bool shared = false;
   std::string counter_file;
   std::string bench_json_dir;
-  std::string stats_file;
   std::string ready_file;
   // Telemetry exposure (server and client)
   int stats_port = -1;        // >= 0: TCP introspection endpoint (0 = ephemeral)
@@ -277,7 +277,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --server --port P [--shards N] [--shard-id K"
                " --shard-addrs H:P,...] [--advertise HOST]\n"
-               "          [--stats-file F] [--ready-file F]\n"
+               "          [--ready-file F]\n"
                "       %s --client --site N --server-addr HOST:PORT "
                "--rounds N [--port P] [--lock ID] [--hold-us N] [--shared]\n"
                "          [--clients M] [--distinct-locks]"
@@ -297,7 +297,7 @@ int usage(const char* argv0) {
                "Telemetry (server and client):\n"
                "          [--stats-port P] [--stats-json F] [--flight-json F]\n"
                "WAN emulation / transport (server and client):\n"
-               "          [--bulk-backend udp|tcp|batched-udp]\n"
+               "          [--bulk-backend udp|tcp]\n"
                "          [--loss-pct P] [--delay-us N] [--bw-kbps B]"
                " [--fixed-rto] [--rto-us N] [--ack-delay-us N]\n",
                argv0, argv0, argv0, argv0);
@@ -404,7 +404,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = value();
       if (!v || !mocha::live::parse_bulk_backend(v).has_value()) {
         std::fprintf(stderr,
-                     "--bulk-backend: want udp, tcp, or batched-udp\n");
+                     "--bulk-backend: want udp or tcp\n");
         return false;
       }
       args.bulk_backend = v;
@@ -464,10 +464,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = value();
       if (!v) return false;
       args.bench_json_dir = v;
-    } else if (arg == "--stats-file") {
-      const char* v = value();
-      if (!v) return false;
-      args.stats_file = v;
     } else if (arg == "--stats-port") {
       const char* v = value();
       if (!v) return false;
@@ -540,16 +536,24 @@ std::string registry_json() {
 // where the workload is in its lifecycle.
 class TelemetryPump {
  public:
+  // `exit_base` non-empty: stop() also writes <exit_base>.stats.json and
+  // <exit_base>.flight.jsonl (the MOCHA_STATS_DIR dumps).
   TelemetryPump(std::string stats_json, std::string flight_json,
-                int stats_port)
+                int stats_port, std::string exit_base)
       : stats_json_(std::move(stats_json)),
-        flight_json_(std::move(flight_json)) {
+        flight_json_(std::move(flight_json)),
+        exit_base_(std::move(exit_base)) {
     if (stats_port >= 0) open_listener(stats_port);
     running_.store(true, std::memory_order_release);
     thread_ = std::thread([this] { loop(); });
   }
   ~TelemetryPump() { stop(); }
 
+  // Stops the pump and writes the final dumps; later calls do nothing. The
+  // registry and the flight rings are process-global, so the dumps are
+  // complete wherever the caller is in its teardown — a server calls this
+  // before stopping its shards, so a second signal during the flush linger
+  // cannot cost it the final JSON.
   void stop() {
     if (!running_.exchange(false)) return;
     if (thread_.joinable()) thread_.join();
@@ -559,11 +563,18 @@ class TelemetryPump {
     }
     // Final dump: the file must reflect the workload's end state, not the
     // last 1-second tick.
-    if (!stats_json_.empty()) write_file_atomic(stats_json_, registry_json());
+    const std::string stats = registry_json();
+    if (!stats_json_.empty()) write_file_atomic(stats_json_, stats);
     if (g_dump_flight.exchange(0) != 0 && !flight_json_.empty()) {
       write_file_atomic(flight_json_,
                         mocha::live::FlightRecorder::to_json_lines(
                           mocha::live::FlightRecorder::snapshot()));
+    }
+    if (!exit_base_.empty()) {
+      write_file_atomic(exit_base_ + ".stats.json", stats);
+      write_file_atomic(exit_base_ + ".flight.jsonl",
+                        mocha::live::FlightRecorder::to_json_lines(
+                            mocha::live::FlightRecorder::snapshot()));
     }
   }
 
@@ -635,6 +646,7 @@ class TelemetryPump {
 
   std::string stats_json_;
   std::string flight_json_;
+  std::string exit_base_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
@@ -650,7 +662,7 @@ struct ShardHost {
   std::unique_ptr<mocha::live::DaemonService> daemon;
 };
 
-int run_server(const Args& args) {
+int run_server(const Args& args, TelemetryPump& pump) {
   const auto shard_count =
       static_cast<std::uint32_t>(std::max(1, args.shards));
   const auto fixed_addrs = parse_shard_addrs(args.shard_addrs);
@@ -758,75 +770,23 @@ int run_server(const Args& args) {
   }
   transfer_drain.join();
 
-  // Exit-time stats: snapshot every shard's counters BEFORE teardown.
+  // Exit-time stats: the final registry dumps are written BEFORE teardown.
   // stop() joins threads and the linger below can eat seconds, during which
   // a second SIGTERM (an impatient supervisor) would kill the process with
   // the final JSON unwritten or half-written. The snapshot is complete: the
   // workload stopped before the signal, and the 50ms poll gap above let each
   // reactor drain its queue.
-  mocha::live::LockServer::Stats total;
-  mocha::live::DaemonService::Stats daemon_total;
-  std::vector<mocha::live::LockServer::Stats> per_shard;
-  std::vector<mocha::live::DaemonService::Stats> per_daemon;
+  pump.stop();
+  std::uint64_t grants = 0;
+  std::uint64_t releases = 0;
+  std::uint64_t locks_broken = 0;
+  mocha::live::MetricsRegistry& registry =
+      mocha::live::MetricsRegistry::global();
   for (const ShardHost& host : shards) {
-    const auto stats = host.server->stats();
-    const auto daemon_stats = host.daemon->stats();
-    total.grants += stats.grants;
-    total.releases += stats.releases;
-    total.locks_broken += stats.locks_broken;
-    total.registrations += stats.registrations;
-    total.shard_map_requests += stats.shard_map_requests;
-    daemon_total.transfers_served += daemon_stats.transfers_served;
-    daemon_total.transfers_applied += daemon_stats.transfers_applied;
-    daemon_total.bulk_fast_served += daemon_stats.bulk_fast_served;
-    daemon_total.bulk_fallbacks += daemon_stats.bulk_fallbacks;
-    daemon_total.bulk_peers_known += daemon_stats.bulk_peers_known;
-    per_shard.push_back(stats);
-    per_daemon.push_back(daemon_stats);
-  }
-
-  if (!args.stats_file.empty()) {
-    std::ofstream out(args.stats_file);
-    // Aggregate keys first (existing consumers), then the per-shard array.
-    out << "{\n"
-        << "  \"grants\": " << total.grants << ",\n"
-        << "  \"releases\": " << total.releases << ",\n"
-        << "  \"locks_broken\": " << total.locks_broken << ",\n"
-        << "  \"registrations\": " << total.registrations << ",\n"
-        << "  \"shard_map_requests\": " << total.shard_map_requests << ",\n"
-        << "  \"transfers_served\": " << daemon_total.transfers_served
-        << ",\n"
-        << "  \"transfers_applied\": " << daemon_total.transfers_applied
-        << ",\n"
-        << "  \"bulk_backend\": \""
-        << mocha::live::bulk_backend_name(bulk_kind) << "\",\n"
-        << "  \"bulk_fast_served\": " << daemon_total.bulk_fast_served
-        << ",\n"
-        << "  \"bulk_fallbacks\": " << daemon_total.bulk_fallbacks << ",\n"
-        << "  \"bulk_peers_known\": " << daemon_total.bulk_peers_known
-        << ",\n"
-        << "  \"shards\": [\n";
-    for (std::size_t i = 0; i < per_shard.size(); ++i) {
-      const auto& s = per_shard[i];
-      out << "    {\"shard\": " << s.shard_id
-          << ", \"grants\": " << s.grants
-          << ", \"releases\": " << s.releases
-          << ", \"locks_broken\": " << s.locks_broken
-          << ", \"registrations\": " << s.registrations
-          << ", \"shard_map_requests\": " << s.shard_map_requests
-          << ", \"queued_waiters\": " << s.queued_waiters
-          << ", \"active_leases\": " << s.active_leases
-          << ", \"reactor_iterations\": " << s.reactor_iterations
-          << ", \"reactor_timers_fired\": " << s.reactor_timers_fired
-          << ", \"max_epoll_batch\": " << s.max_epoll_batch
-          << ", \"transfers_served\": " << per_daemon[i].transfers_served
-          << ", \"transfers_applied\": " << per_daemon[i].transfers_applied
-          << ", \"bulk_fast_served\": " << per_daemon[i].bulk_fast_served
-          << ", \"bulk_fallbacks\": " << per_daemon[i].bulk_fallbacks
-          << "}" << (i + 1 < per_shard.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n"
-        << "}\n";
+    const std::string prefix = "shard." + std::to_string(host.shard) + ".";
+    grants += registry.counter(prefix + "grants")->value();
+    releases += registry.counter(prefix + "releases")->value();
+    locks_broken += registry.counter(prefix + "lease_breaks")->value();
   }
 
   for (ShardHost& host : shards) {
@@ -858,9 +818,9 @@ int run_server(const Args& args) {
     std::printf(
         "mocha_live server: %llu grants, %llu releases, %llu broken locks "
         "across %zu shard(s)\n",
-        static_cast<unsigned long long>(total.grants),
-        static_cast<unsigned long long>(total.releases),
-        static_cast<unsigned long long>(total.locks_broken), shards.size());
+        static_cast<unsigned long long>(grants),
+        static_cast<unsigned long long>(releases),
+        static_cast<unsigned long long>(locks_broken), shards.size());
   }
   return 0;
 }
@@ -1193,12 +1153,17 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
   metrics.push_back({"retransmissions",
                      static_cast<double>(endpoint.retransmissions()),
                      "count"});
-  const auto daemon_stats = daemon.stats();
-  metrics.push_back({"bulk_fast_served",
-                     static_cast<double>(daemon_stats.bulk_fast_served),
+  // Bundles the fast backend delivered; a pure-UDP daemon has none.
+  const std::uint64_t fast_served =
+      daemon.bulk_backend() == mocha::live::BulkBackend::kUdp
+          ? 0
+          : mocha::live::resolve_bulk_counters(daemon.bulk_backend(),
+                                               endpoint.node())
+                .sent->value();
+  metrics.push_back({"bulk_fast_served", static_cast<double>(fast_served),
                      "count"});
   metrics.push_back({"bulk_fallbacks",
-                     static_cast<double>(daemon_stats.bulk_fallbacks),
+                     static_cast<double>(daemon.stats().bulk_fallbacks),
                      "count"});
   if (!args.quiet) {
     std::printf(
@@ -1518,7 +1483,9 @@ int main(int argc, char** argv) {
     flight_json = (stats_dir != nullptr ? std::string(stats_dir) + "/" : "") +
                   "mocha_" + tag + ".flight.jsonl";
   }
-  TelemetryPump pump(args.stats_json, flight_json, args.stats_port);
+  const std::string exit_base =
+      stats_dir != nullptr ? std::string(stats_dir) + "/mocha_" + tag : "";
+  TelemetryPump pump(args.stats_json, flight_json, args.stats_port, exit_base);
   if (args.stats_port >= 0 && !args.quiet) {
     std::printf("mocha_live %s: stats endpoint on tcp port %u\n",
                 args.server ? "server" : "client", pump.port());
@@ -1528,7 +1495,7 @@ int main(int argc, char** argv) {
   int code = 2;
   try {
     if (args.server) {
-      code = run_server(args);
+      code = run_server(args, pump);
     } else if (args.site < 2) {
       std::fprintf(stderr,
                    "--client requires --site >= 2 (1 is the server)\n");
@@ -1541,14 +1508,5 @@ int main(int argc, char** argv) {
     code = 2;
   }
   pump.stop();
-  if (stats_dir != nullptr) {
-    // The registry and flight rings are process-global, so these exit dumps
-    // are complete even though every endpoint is already torn down.
-    const std::string base = std::string(stats_dir) + "/mocha_" + tag;
-    write_file_atomic(base + ".stats.json", registry_json());
-    write_file_atomic(base + ".flight.jsonl",
-                      mocha::live::FlightRecorder::to_json_lines(
-                          mocha::live::FlightRecorder::snapshot()));
-  }
   return code;
 }

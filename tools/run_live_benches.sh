@@ -132,7 +132,7 @@ stop_server "$SERVER"
 # --- 2. Replica-transfer bench (BENCH_live_transfer.json) ---
 DELAY_FLAGS=(--delay-us 20000)
 "$BIN" --server --port 0 --ready-file "$OUT/ready_transfer" \
-  --stats-file "$OUT/transfer_server_stats.json" --quiet "${DELAY_FLAGS[@]}" &
+  --stats-json "$OUT/transfer_server_stats.json" --quiet "${DELAY_FLAGS[@]}" &
 SERVER=$!
 track "$SERVER"
 PORT=$(wait_ready "$OUT/ready_transfer")
@@ -159,7 +159,7 @@ SWEEP_ROUNDS=40
 for S in 1 2 4; do
   "$BIN" --server --port 0 --shards "$S" \
     --ready-file "$OUT/ready_shards_$S" \
-    --stats-file "$OUT/shard_server_stats_s$S.json" --quiet &
+    --stats-json "$OUT/shard_server_stats_s$S.json" --quiet &
   SERVER=$!
   track "$SERVER"
   PORT=$(wait_ready "$OUT/ready_shards_$S")
