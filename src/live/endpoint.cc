@@ -31,6 +31,9 @@ bool same_addr(const sockaddr_in& a, const sockaddr_in& b) {
   return a.sin_addr.s_addr == b.sin_addr.s_addr && a.sin_port == b.sin_port;
 }
 
+// NACK frame header: type(1) + seq(8) + count(4); 4 bytes per index follow.
+constexpr std::size_t kNackHeaderBytes = 13;
+
 }  // namespace
 
 Endpoint::Endpoint(net::NodeId node, std::uint16_t udp_port,
@@ -44,6 +47,9 @@ Endpoint::Endpoint(net::NodeId node, std::uint16_t udp_port,
     throw std::invalid_argument("live::Endpoint: mtu too small for headers");
   }
   max_chunk_ = opts_.mtu - kLiveEnvelopeBytes - net::kFragHeaderBytes;
+  // A longer NACK would not fit the peer's mtu + 1 receive buffer.
+  max_nack_indices_ = (opts_.mtu - kLiveEnvelopeBytes - kNackHeaderBytes) /
+                      sizeof(std::uint32_t);
   gap_skip_window_us_ = retry_schedule_us() + 2 * opts_.rto_us;
   tm_send_ack_us_ = MetricsRegistry::global().histogram(
       "ep." + std::to_string(node_) + ".send_ack_us");
@@ -540,18 +546,26 @@ void Endpoint::fire_timers(std::int64_t now_us) {
       it = outstanding_.erase(it);
       continue;
     }
-    // Whole-message resend with per-peer exponential backoff (the backoff
-    // resets on the next accepted RTT sample for that peer).
+    // Resend with per-peer exponential backoff (the backoff resets on the
+    // next accepted RTT sample for that peer). With selective NACKs on, a
+    // multi-fragment message first probes with its last fragment: the
+    // receiver answers with a NACK for its holes, or re-ACKs a message it
+    // already has. Only a probe still unanswered at the next RTO resends the
+    // whole message, so a peer that never NACKs still converges.
     PeerState& peer = peer_state(it->first.first);
     out->retransmitted = true;  // Karn: this message can no longer be sampled
     if (opts_.adaptive_rto) peer.rtt.backoff();
     out->next_resend_us =
         now_us + (opts_.adaptive_rto ? peer.rtt.rto_us() : opts_.rto_us);
-    for (const util::Buffer& datagram : out->datagrams) {
+    std::span<const util::Buffer> resend(out->datagrams);
+    out->probe_unanswered =
+        opts_.selective_nack && resend.size() > 1 && !out->probe_unanswered;
+    if (out->probe_unanswered) resend = resend.last(1);
+    for (const util::Buffer& datagram : resend) {
       queue_tx(out->addr, datagram);
       ++retransmissions_;
     }
-    peer.tm_retransmits->add(out->datagrams.size());
+    peer.tm_retransmits->add(resend.size());
     peer.tm_rto_us->set(opts_.adaptive_rto ? peer.rtt.rto_us() : opts_.rto_us);
     FlightRecorder::record(trace::EventKind::kRetransmit, node_,
                            it->first.first, it->first.second,
@@ -560,9 +574,9 @@ void Endpoint::fire_timers(std::int64_t now_us) {
   }
   if (notified) ack_cv_.notify_all();
 
-  // Selective NACKs: a partially reassembled message whose fragment stream
-  // has been quiet for nack_delay_us asks the sender for just the missing
-  // fragments. Quiet matters: fragments still flowing means the sender is
+  // Quiescence fallback for a lost pass tail: a partially reassembled
+  // message whose fragment stream has been quiet for nack_delay_us asks
+  // again. Quiet matters: fragments still flowing means the sender is
   // mid-transmission, not that loss struck (same rule as the sim endpoint).
   for (auto& [key, re] : reassembly_) {
     if (re.nack_deadline_us == 0 || re.nack_deadline_us > now_us) continue;
@@ -570,29 +584,12 @@ void Endpoint::fire_timers(std::int64_t now_us) {
       re.nack_deadline_us = re.last_arrival_us + opts_.nack_delay_us;
       continue;
     }
-    if (re.nacks_sent >= opts_.max_retries) {
+    if (re.quiet_nacks >= opts_.max_retries) {
       re.nack_deadline_us = 0;  // give up probing; sender RTO still covers it
       continue;
     }
-    auto peer_it = peers_.find(key.first);
-    if (peer_it == peers_.end()) {
-      re.nack_deadline_us = 0;
-      continue;
-    }
-    util::Buffer datagram;
-    util::WireWriter writer(datagram);
-    writer.u32(node_);
-    util::Buffer frame;
-    net::encode_nack_frame(
-        frame, net::NackFrame{key.second, re.assembler.missing()});
-    writer.raw(frame);
-    queue_tx(peer_it->second.addr, std::move(datagram));
-    ++re.nacks_sent;
-    ++nacks_sent_;
-    peer_it->second.tm_nacks_tx->add();
-    FlightRecorder::record(trace::EventKind::kNackSent, node_, key.first,
-                           key.second, re.assembler.missing().size());
-    re.nack_deadline_us = now_us + opts_.nack_delay_us;
+    ++re.quiet_nacks;
+    send_nack(key, re, now_us);
   }
 
   flush_due_acks(now_us);
@@ -628,6 +625,28 @@ void Endpoint::fire_timers(std::int64_t now_us) {
     deliver_in_order(src);
     update_gap_skip(src, now_us);
   }
+}
+
+void Endpoint::send_nack(const MsgKey& key, Reassembly& re,
+                         std::int64_t now_us) {
+  std::vector<std::uint32_t> missing = re.assembler.missing();
+  if (missing.empty()) return;
+  if (missing.size() > max_nack_indices_) missing.resize(max_nack_indices_);
+  re.repair_tail = missing.back();
+  re.nack_deadline_us = now_us + opts_.nack_delay_us;
+  PeerState& peer = peer_state(key.first);
+  util::Buffer datagram;
+  util::WireWriter writer(datagram);
+  writer.u32(node_);
+  util::Buffer frame;
+  const std::size_t listed = missing.size();
+  net::encode_nack_frame(frame, net::NackFrame{key.second, std::move(missing)});
+  writer.raw(frame);
+  queue_tx(peer.addr, std::move(datagram));
+  ++nacks_sent_;
+  peer.tm_nacks_tx->add();
+  FlightRecorder::record(trace::EventKind::kNackSent, node_, key.first,
+                         key.second, listed);
 }
 
 void Endpoint::enqueue_ack(net::NodeId dst, std::uint64_t seq,
@@ -761,6 +780,7 @@ void Endpoint::process_datagram(const std::uint8_t* data, std::size_t len,
         auto it = outstanding_.find({src, nack.seq});
         if (it == outstanding_.end()) break;
         std::shared_ptr<Outstanding>& out = it->second;
+        out->probe_unanswered = false;
         std::uint64_t resent = 0;
         for (std::uint32_t idx : nack.missing) {
           if (idx >= out->datagrams.size()) continue;
@@ -815,13 +835,19 @@ void Endpoint::handle_data(net::NodeId src, const net::DataFrame& frame) {
     return;
   }
   Reassembly& re = reassembly_[key];
-  if (!re.assembler.add(frame)) return;  // dup fragment
-  re.last_arrival_us = now;
+  const bool fresh = re.assembler.add(frame);  // false: dup fragment
+  if (fresh) re.last_arrival_us = now;
   if (!re.assembler.complete()) {
-    // Partial multi-fragment message: arm the quiescence-based NACK probe.
-    if (opts_.selective_nack && opts_.nack_delay_us > 0 &&
-        re.nack_deadline_us == 0) {
-      re.nack_deadline_us = now + opts_.nack_delay_us;
+    if (!opts_.selective_nack || opts_.nack_delay_us <= 0) return;
+    // A transmission pass ended with holes left: the first pass (and an RTO
+    // probe, even a duplicate one) ends at the last fragment, a repair pass
+    // at the highest index the last NACK asked for. Everything the sender
+    // put before that fragment has arrived or is lost, so NACK now.
+    if (frame.frag_idx == re.assembler.frag_count() - 1 ||
+        frame.frag_idx == re.repair_tail) {
+      send_nack(key, re, now);
+    } else if (fresh && re.nack_deadline_us == 0) {
+      re.nack_deadline_us = now + opts_.nack_delay_us;  // lost-tail fallback
     }
     return;
   }

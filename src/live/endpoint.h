@@ -22,11 +22,17 @@
 //     ack round-trips (RttEstimator in live/clock.h), Karn's rule on
 //     samples, exponential backoff on retransmit. LAN peers converge to
 //     ~min_rto_us; WAN peers stop retransmitting hot.
-//   - Receiver-side selective NACKs: a partially reassembled message whose
-//     fragment stream has gone quiet for nack_delay_us triggers a NACK
-//     listing the missing fragment indices, so one lost fragment costs one
-//     fragment resend instead of a full-message RTO resend. Inbound NACKs
-//     are honored as before.
+//   - Fragment-granular loss recovery: when the fragment that ends a
+//     transmission pass arrives and holes remain, the receiver NACKs the
+//     missing indices in the same io-loop turn (as many as fit one MTU).
+//     The first pass ends at the last fragment, a repair pass at the
+//     highest index the previous NACK asked for. A partial message whose
+//     fragment stream has gone quiet for nack_delay_us is NACKed as the
+//     fallback for a lost pass tail. On RTO a multi-fragment message
+//     resends only its last fragment as a probe, which the receiver answers
+//     with a NACK or a re-ACK; a probe still unanswered at the next RTO
+//     resends the whole message. selective_nack=false turns all of this
+//     off: quiet receivers, whole-message resends on every RTO.
 //   - Ack piggybacking: transport acks are delayed up to ack_delay_us and
 //     coalesced onto the next outgoing DATA frame for that peer (DATA+ACK
 //     frames) when they fit in the MTU; leftover acks flush standalone.
@@ -86,9 +92,11 @@ struct EndpointOptions {
   int rto_backoff_cap = 6;  // max exponential-backoff doublings
 
   // --- Selective NACKs (receiver side) ---
-  // After a partial message's fragment stream has been quiet this long, ask
-  // the sender for just the missing fragments. 0 or selective_nack=false
-  // falls back to pure sender-RTO recovery.
+  // A partial message is NACKed as soon as a transmission pass ends with
+  // holes, and again whenever its fragment stream has been quiet this long.
+  // 0 or selective_nack=false falls back to pure sender-RTO recovery; with
+  // selective_nack=false the sender's RTO also resends whole messages
+  // instead of probing with the last fragment.
   bool selective_nack = true;
   std::int64_t nack_delay_us = 2'000;
 
@@ -234,6 +242,9 @@ class Endpoint {
     std::int64_t next_resend_us = 0;
     std::int64_t sent_at_us = 0;   // RTT sample anchor
     bool retransmitted = false;    // Karn: never sample a retransmitted msg
+    // The last RTO sent only the last fragment and no NACK has come back
+    // since: the next RTO resends the whole message.
+    bool probe_unanswered = false;
     int retries_left = 0;
     bool acked = false;
     bool failed = false;
@@ -263,12 +274,17 @@ class Endpoint {
     int ready_fd = -1;  // eventfd signalled on delivery; -1 = none
   };
 
+  static constexpr std::uint32_t kNoRepairPass = ~std::uint32_t{0};
+
   // One partially reassembled inbound message + its NACK bookkeeping.
   struct Reassembly {
     net::FragmentAssembler assembler;
     std::int64_t last_arrival_us = 0;  // quiescence detector
     std::int64_t nack_deadline_us = 0;  // 0 = not armed
-    int nacks_sent = 0;
+    int quiet_nacks = 0;  // quiescence-timer NACKs, capped at max_retries
+    // Highest index the last NACK asked for: its arrival ends the repair
+    // pass. kNoRepairPass before the first NACK.
+    std::uint32_t repair_tail = kNoRepairPass;
   };
 
   // Armed while complete messages are stashed beyond a sequence hole.
@@ -296,6 +312,10 @@ class Endpoint {
   void handle_ack_seq(net::NodeId src, std::uint64_t seq,
                       std::int64_t now_us) REQUIRES(mu_);
   void fire_timers(std::int64_t now_us) EXCLUDES(mu_);
+  // Queues a NACK for the lowest missing indices that fit one MTU, starts
+  // the repair pass they end, and re-arms the quiescence fallback.
+  void send_nack(const MsgKey& key, Reassembly& re, std::int64_t now_us)
+      REQUIRES(mu_);
   void release_netem(std::int64_t now_us) EXCLUDES(mu_);  // io thread only
   std::int64_t next_deadline_us() REQUIRES(mu_);
   void deliver_in_order(net::NodeId src) REQUIRES(mu_);
@@ -326,6 +346,7 @@ class Endpoint {
   EndpointOptions opts_;
   Clock* clock_;
   std::size_t max_chunk_;  // payload bytes per fragment
+  std::size_t max_nack_indices_;  // missing indices one NACK datagram holds
   std::int64_t gap_skip_window_us_;  // full backed-off sender schedule
   int sock_ = -1;
   int wake_pipe_[2] = {-1, -1};

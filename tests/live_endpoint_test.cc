@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "live/endpoint.h"
 #include "net/frame.h"
@@ -63,6 +65,30 @@ class RawPeer {
  private:
   int sock_ = -1;
 };
+
+// Fragment index of a DATA or DATA+ACK datagram; nullopt for other frames.
+std::optional<std::uint32_t> frag_index(
+    std::span<const std::uint8_t> datagram) {
+  try {
+    util::WireReader reader(datagram);
+    reader.u32();  // live envelope
+    switch (net::decode_frame_type(reader)) {
+      case net::FrameType::kData:
+        return net::decode_data_frame(reader).frag_idx;
+      case net::FrameType::kDataAck:
+        return net::decode_data_ack_frame(reader).frag_idx;
+      default:
+        return std::nullopt;
+    }
+  } catch (const util::CodecError&) {
+    return std::nullopt;
+  }
+}
+
+bool is_frame(std::span<const std::uint8_t> datagram, net::FrameType type) {
+  return datagram.size() > kLiveEnvelopeBytes &&
+         datagram[kLiveEnvelopeBytes] == static_cast<std::uint8_t>(type);
+}
 
 TEST(LiveEndpoint, DeliversMessageWithSourceAndPort) {
   Endpoint a(/*node=*/1, /*udp_port=*/0);
@@ -328,6 +354,190 @@ TEST(LiveEndpoint, EmptyPayloadTravels) {
   auto msg = b.recv_for(11, 2'000'000);
   ASSERT_TRUE(msg.has_value());
   EXPECT_TRUE(msg->payload.empty());
+}
+
+// The NACK leaves when the last fragment of the first pass lands, not after
+// the stream has been quiet for nack_delay_us: with a 300ms quiescence timer
+// and a 500ms sender RTO, a lost middle fragment is repaired within a trip.
+TEST(LiveEndpoint, TailNackRepairsBeforeQuiescenceTimer) {
+  EndpointOptions sender_opts;
+  sender_opts.mtu = 256;  // 1000-byte payload -> 5 fragments
+  sender_opts.rto_us = 500'000;
+  EndpointOptions receiver_opts;
+  receiver_opts.nack_delay_us = 300'000;
+  std::atomic<int> dropped{0};
+  receiver_opts.recv_drop_hook = [&](std::span<const std::uint8_t> datagram) {
+    return frag_index(datagram) == 2u && dropped++ == 0;
+  };
+  Endpoint a(1, 0, sender_opts);
+  Endpoint b(2, 0, receiver_opts);
+  a.add_peer(2, "127.0.0.1", b.udp_port());
+
+  const util::Buffer payload = make_payload(1'000, 3);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.send_sync(2, 6, payload, 5'000'000).is_ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  auto msg = b.recv_for(6, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, payload);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  EXPECT_EQ(b.nacks_sent(), 1u);
+  EXPECT_EQ(a.retransmissions(), 1u);
+}
+
+// A lost last fragment ends no pass, so nothing arrives to trigger a NACK:
+// the quiescence timer asks for it, well before the sender's RTO would.
+TEST(LiveEndpoint, LostTailIsRepairedByQuiescenceNack) {
+  EndpointOptions sender_opts;
+  sender_opts.mtu = 256;  // 1000-byte payload -> 5 fragments
+  sender_opts.rto_us = 500'000;
+  EndpointOptions receiver_opts;
+  std::atomic<int> dropped{0};
+  receiver_opts.recv_drop_hook = [&](std::span<const std::uint8_t> datagram) {
+    return frag_index(datagram) == 4u && dropped++ == 0;
+  };
+  Endpoint a(1, 0, sender_opts);
+  Endpoint b(2, 0, receiver_opts);
+  a.add_peer(2, "127.0.0.1", b.udp_port());
+
+  const util::Buffer payload = make_payload(1'000, 4);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.send_sync(2, 6, payload, 5'000'000).is_ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  auto msg = b.recv_for(6, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, payload);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  EXPECT_GE(b.nacks_sent(), 1u);
+  EXPECT_GE(a.retransmissions(), 1u);
+  EXPECT_LT(a.retransmissions(), 5u);
+}
+
+// A repair pass ends at the highest index its NACK asked for. Fragments 1
+// and 2 are lost, then the resend of 1 too: the arrival of the resent 2
+// sends the second NACK at once instead of after nack_delay_us of quiet.
+TEST(LiveEndpoint, RepairPassTailTriggersNextNack) {
+  EndpointOptions sender_opts;
+  sender_opts.mtu = 256;  // 1000-byte payload -> 5 fragments
+  sender_opts.rto_us = 500'000;
+  EndpointOptions receiver_opts;
+  receiver_opts.nack_delay_us = 300'000;
+  std::atomic<int> dropped_1{0};
+  std::atomic<int> dropped_2{0};
+  receiver_opts.recv_drop_hook = [&](std::span<const std::uint8_t> datagram) {
+    const auto idx = frag_index(datagram);
+    if (idx == 1u) return dropped_1++ < 2;
+    if (idx == 2u) return dropped_2++ == 0;
+    return false;
+  };
+  Endpoint a(1, 0, sender_opts);
+  Endpoint b(2, 0, receiver_opts);
+  a.add_peer(2, "127.0.0.1", b.udp_port());
+
+  const util::Buffer payload = make_payload(1'000, 5);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.send_sync(2, 6, payload, 5'000'000).is_ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  auto msg = b.recv_for(6, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, payload);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+  EXPECT_EQ(b.nacks_sent(), 2u);
+  EXPECT_EQ(a.retransmissions(), 3u);  // 1 and 2, then 1 again
+}
+
+// A lost ACK of a complete message costs one datagram, not the message: the
+// RTO resends only the last fragment and the receiver re-ACKs it.
+TEST(LiveEndpoint, RtoProbeResendsOneFragmentWhenAckIsLost) {
+  EndpointOptions sender_opts;
+  sender_opts.mtu = 256;  // 1000-byte payload -> 5 fragments
+  sender_opts.rto_us = 200'000;
+  std::atomic<int> acks_dropped{0};
+  sender_opts.recv_drop_hook = [&](std::span<const std::uint8_t> datagram) {
+    return is_frame(datagram, net::FrameType::kAck) && acks_dropped++ == 0;
+  };
+  Endpoint a(1, 0, sender_opts);
+  Endpoint b(2, 0);
+  a.add_peer(2, "127.0.0.1", b.udp_port());
+
+  const util::Buffer payload = make_payload(1'000, 6);
+  ASSERT_TRUE(a.send_sync(2, 6, payload, 5'000'000).is_ok());
+
+  auto msg = b.recv_for(6, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, payload);
+  EXPECT_FALSE(b.recv_for(6, 50'000).has_value());
+  EXPECT_EQ(b.messages_delivered(), 1u);
+  EXPECT_EQ(acks_dropped.load(), 2);  // the lost ACK, then the re-ACK passed
+  EXPECT_EQ(a.retransmissions(), 1u);
+}
+
+// A peer whose NACKs never arrive still gets the message: the probe goes
+// unanswered, so the next RTO resends the whole message.
+TEST(LiveEndpoint, ProbeWithoutNackFallsBackToWholeResend) {
+  EndpointOptions sender_opts;
+  sender_opts.mtu = 256;  // 1000-byte payload -> 5 fragments
+  sender_opts.rto_us = 100'000;
+  sender_opts.recv_drop_hook = [](std::span<const std::uint8_t> datagram) {
+    return is_frame(datagram, net::FrameType::kNack);
+  };
+  EndpointOptions receiver_opts;
+  std::atomic<int> dropped{0};
+  receiver_opts.recv_drop_hook = [&](std::span<const std::uint8_t> datagram) {
+    return frag_index(datagram) == 2u && dropped++ == 0;
+  };
+  Endpoint a(1, 0, sender_opts);
+  Endpoint b(2, 0, receiver_opts);
+  a.add_peer(2, "127.0.0.1", b.udp_port());
+
+  const util::Buffer payload = make_payload(1'000, 7);
+  ASSERT_TRUE(a.send_sync(2, 6, payload, 5'000'000).is_ok());
+
+  auto msg = b.recv_for(6, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, payload);
+  EXPECT_EQ(b.messages_delivered(), 1u);
+  EXPECT_GE(b.nacks_sent(), 2u);  // the pass tail's and the probe's
+  EXPECT_EQ(a.nacks_received(), 0u);
+  EXPECT_EQ(a.retransmissions(), 1u + 5u);  // one probe, one whole resend
+}
+
+// A NACK lists at most the missing indices that fit one MTU; a longer one
+// would be truncated by the peer's mtu + 1 receive buffer and dropped as
+// malformed. 80 of 100 fragments are lost once: two NACKs (the second sent
+// when the first one's repair pass ends) recover them long before the
+// sender's 500ms RTO, resending only the lost fragments.
+TEST(LiveEndpoint, NackForManyHolesFitsOneMtu) {
+  EndpointOptions opts;
+  opts.mtu = 256;  // 233-byte chunks; a NACK holds at most 59 indices
+  EndpointOptions sender_opts = opts;
+  sender_opts.rto_us = 500'000;
+  EndpointOptions receiver_opts = opts;
+  std::vector<bool> dropped(100, false);  // io thread only
+  receiver_opts.recv_drop_hook = [&](std::span<const std::uint8_t> datagram) {
+    const auto idx = frag_index(datagram);
+    if (!idx || *idx < 10 || *idx >= 90 || dropped[*idx]) return false;
+    dropped[*idx] = true;
+    return true;
+  };
+  Endpoint a(1, 0, sender_opts);
+  Endpoint b(2, 0, receiver_opts);
+  a.add_peer(2, "127.0.0.1", b.udp_port());
+
+  const util::Buffer payload = make_payload(100 * 233, 8);  // 100 fragments
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.send_sync(2, 6, payload, 5'000'000).is_ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  auto msg = b.recv_for(6, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, payload);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  EXPECT_GE(b.nacks_sent(), 2u);
+  EXPECT_LT(a.retransmissions(), 100u);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -42,6 +43,14 @@ namespace {
 
 using mocha::live::ShardMap;
 using mocha::live::shard_node;
+
+// Wall-clock margins scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes set
+// it), as in the other forked live tests.
+int time_scale() {
+  const char* env = std::getenv("MOCHA_TEST_TIME_SCALE");
+  const int scale = env != nullptr ? std::atoi(env) : 1;
+  return scale > 0 ? scale : 1;
+}
 
 pid_t spawn(const std::vector<std::string>& args) {
   const pid_t pid = fork();
@@ -218,9 +227,13 @@ TEST(LiveShard, WideLockSpaceKeepsClientReplyPortsDisjoint) {
   const std::string ready = dir + "/ready";
   const std::string stats = dir + "/stats.json";
 
+  // mocha_live's default 300 ms lease, scaled: under sanitizer slowdown and
+  // injected loss an unscaled lease breaks while its holder is still alive.
+  const std::string lease_grace_us = std::to_string(300'000LL * time_scale());
   const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
                               "--shards", "2", "--ready-file", ready,
-                              "--stats-json", stats, "--quiet"});
+                              "--stats-json", stats, "--lease-grace-us",
+                              lease_grace_us, "--quiet"});
   std::string port_0;
   for (int i = 0; i < 100 && port_0.empty(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
