@@ -4,7 +4,6 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <system_error>
 
@@ -13,13 +12,14 @@
 namespace mocha::live {
 
 using replica::GrantFlag;
-using replica::LockWireMode;
+using replica::LockTable;
 
 LockServer::LockServer(Endpoint& endpoint, LockServerOptions opts)
     : endpoint_(endpoint),
       opts_(opts),
       reactor_("shard." + std::to_string(opts.shard_id) + ".reactor.",
-               opts.reactor) {
+               opts.reactor),
+      table_(opts.lease_grace_us) {
   const std::string prefix = "shard." + std::to_string(opts_.shard_id) + ".";
   MetricsRegistry& registry = MetricsRegistry::global();
   tm_acquires_ = registry.counter(prefix + "acquires");
@@ -80,11 +80,6 @@ void LockServer::stop() {
   }
 }
 
-bool LockServer::is_blacklisted(std::uint32_t site) const {
-  util::MutexLock lock(mu_);
-  return blacklist_.contains(site);
-}
-
 void LockServer::publish_gauges() {
   tm_queue_depth_->set(static_cast<std::int64_t>(queued_waiters_));
   tm_active_leases_->set(static_cast<std::int64_t>(active_leases_));
@@ -108,9 +103,7 @@ void LockServer::handle(Endpoint::Message msg) {
         break;
       case replica::kRegisterLock: {
         const auto reg = replica::RegisterLockMsg::decode(reader);
-        LockState& lock = locks_[reg.lock_id];
-        lock.id = reg.lock_id;
-        lock.holders.insert(reg.site);
+        table_.register_holder(reg.lock_id, reg.site);
         tm_registrations_->add();
         break;
       }
@@ -157,118 +150,55 @@ void LockServer::handle_stats_request(net::NodeId src,
 
 void LockServer::handle_acquire(util::WireReader& reader) {
   const auto msg = replica::AcquireLockMsg::decode(reader);
-  Request req;
-  req.lock_id = msg.lock_id;
-  req.site = msg.site;
-  req.grant_port = msg.grant_port;
-  req.data_port = msg.data_port;
-  req.expected_hold_us = msg.expected_hold_us != 0
-                             ? msg.expected_hold_us
-                             : static_cast<std::uint64_t>(
-                                   opts_.default_expected_hold_us);
-  req.mode = msg.mode;
-  req.nonce = msg.nonce;
-  req.enqueued_at_us = Clock::monotonic().now_us();
   tm_acquires_->add();
   FlightRecorder::record(trace::EventKind::kLockRequested, endpoint_.node(),
-                         req.site, req.lock_id, 0, req.nonce);
-
-  bool rejected = false;
-  {
-    util::MutexLock guard(mu_);
-    rejected = blacklist_.contains(req.site);
-  }
-  if (rejected) {
-    // §4: a thread whose lock was broken is prevented from future requests.
-    send_grant(req, 0, GrantFlag::kRejected, {});
+                         msg.site, msg.lock_id, 0, msg.nonce);
+  const std::int64_t now_us = Clock::monotonic().now_us();
+  if (!table_.enqueue(msg, now_us)) {
+    send_grant(msg.site, msg.grant_port, LockTable::rejection(msg));
     return;
   }
-
-  LockState& lock = locks_[req.lock_id];
-  lock.id = req.lock_id;
-  lock.holders.insert(req.site);
-  lock.waiting.push_back(req);
   ++queued_waiters_;
-  grant_from_queue(lock);
+  grant_waiters(msg.lock_id, now_us);
   publish_gauges();
 }
 
-void LockServer::grant_from_queue(LockState& lock) {
-  // Strict FIFO with shared batching — same policy as the sim SyncService:
-  // the head is granted; while it is shared, the consecutive run of shared
-  // requests behind it joins, so a waiting writer blocks later readers.
-  while (!lock.waiting.empty()) {
-    const Request& head = lock.waiting.front();
-    if (head.mode == LockWireMode::kExclusive) {
-      if (!lock.active.empty()) return;
-      Request req = head;
-      lock.waiting.pop_front();
-      --queued_waiters_;
-      activate(lock, std::move(req));
-      return;
-    }
-    if (lock.has_active_exclusive()) return;
-    Request req = head;
-    lock.waiting.pop_front();
+void LockServer::grant_waiters(replica::LockId lock_id,
+                               std::int64_t now_us) {
+  while (auto grant = table_.grant_next(lock_id, now_us)) {
+    LockTable::Request& hold = *grant->hold;
     --queued_waiters_;
-    activate(lock, std::move(req));
-    // continue: grant the consecutive shared run
+    ++active_leases_;
+    tm_wait_us_->record(now_us - hold.enqueued_at_us);
+    tm_grants_->add();
+    FlightRecorder::record(trace::EventKind::kLockGranted, endpoint_.node(),
+                           hold.site, lock_id, grant->lock->version,
+                           hold.nonce);
+    // §4 failure detection as a continuation: one reactor timer per hold
+    // replaces the periodic lease scan; it is cancelled on release.
+    hold.lease_timer = reactor_.call_at(
+        hold.lease_deadline_us,
+        [this, lock_id, site = hold.site, nonce = hold.nonce] {
+          on_lease_expired(lock_id, site, nonce);
+        });
+    // The directive leaves first: it starts the two-trip push, which the
+    // one-trip GRANT then overtakes.
+    if (grant->flag == GrantFlag::kNeedNewVersion) {
+      direct_transfer(*grant->lock, hold);
+    }
+    send_grant(hold.site, hold.grant_port, grant->message());
   }
 }
 
-void LockServer::activate(LockState& lock, Request req) {
-  // §4 failure detection as a continuation: one reactor timer per active
-  // hold replaces the old periodic lease scan. The timer is cancelled on
-  // release; (site, nonce) re-checked at expiry for the cancel/fire race.
-  const std::int64_t now_us = Clock::monotonic().now_us();
-  req.granted_at_us = now_us;
-  tm_wait_us_->record(now_us - req.enqueued_at_us);
-  tm_grants_->add();
-  FlightRecorder::record(trace::EventKind::kLockGranted, endpoint_.node(),
-                         req.site, req.lock_id, lock.version, req.nonce);
-  const std::int64_t lease_deadline_us =
-      now_us + static_cast<std::int64_t>(req.expected_hold_us) +
-      opts_.lease_grace_us;
-  req.lease_timer = reactor_.call_at(
-      lease_deadline_us,
-      [this, lock_id = req.lock_id, site = req.site, nonce = req.nonce] {
-        on_lease_expired(lock_id, site, nonce);
-      });
-
-  // Version 0 = no release yet, every holder still has initial contents.
-  // Otherwise the up-to-date set decides whether the requester's copy is
-  // current — with UR=1 this degenerates to the paper's lastLockOwner check,
-  // and a current requester skips the transfer entirely. A NEED_NEW_VERSION
-  // grant names the last owner as transfer_from, and the owner's daemon is
-  // directed to push the bundle. The directive leaves first: it starts the
-  // two-trip push, which the one-trip GRANT then overtakes.
-  const bool current =
-      lock.version == 0 || lock.up_to_date.contains(req.site);
-  if (!current) direct_transfer(lock, req);
-  send_grant(req, lock.version,
-             current ? GrantFlag::kVersionOk : GrantFlag::kNeedNewVersion,
-             lock.holders, current ? 0 : lock.last_owner.value_or(0));
-  lock.active.push_back(std::move(req));
-  ++active_leases_;
-}
-
-void LockServer::send_grant(const Request& req, replica::Version version,
-                            GrantFlag flag,
-                            const std::set<std::uint32_t>& holders,
-                            std::uint32_t transfer_from) {
-  replica::GrantMsg grant;
-  grant.lock_id = req.lock_id;
-  grant.nonce = req.nonce;
-  grant.version = version;
-  grant.flag = flag;
-  grant.transfer_from = transfer_from;
-  grant.holders.assign(holders.begin(), holders.end());
+void LockServer::send_grant(std::uint32_t site, net::Port grant_port,
+                            const replica::GrantMsg& grant) {
   util::Buffer msg;
   grant.encode(msg);
-  endpoint_.send(req.site, req.grant_port, std::move(msg));
+  endpoint_.send(site, grant_port, std::move(msg));
 }
 
-void LockServer::direct_transfer(const LockState& lock, const Request& req) {
+void LockServer::direct_transfer(const LockTable::LockState& lock,
+                                 const LockTable::Request& req) {
   // A site without a daemon (data_port 0) can neither serve nor receive a
   // bundle; a directive would pile up unread on its daemon port. The
   // requester then waits out its transfer timeout and retries at home.
@@ -308,90 +238,36 @@ void LockServer::direct_transfer(const LockState& lock, const Request& req) {
 
 void LockServer::handle_release(util::WireReader& reader) {
   const auto msg = replica::ReleaseLockMsg::decode(reader);
-  auto it = locks_.find(msg.lock_id);
-  if (it == locks_.end()) return;
-  LockState& lock = it->second;
-
-  auto active_it = std::find_if(
-      lock.active.begin(), lock.active.end(),
-      [&](const Request& r) { return r.site == msg.site; });
-  net::Port data_port = 0;
-  if (active_it != lock.active.end()) {
-    data_port = active_it->data_port;
-    reactor_.cancel(active_it->lease_timer);
-    tm_hold_us_->record(Clock::monotonic().now_us() -
-                        active_it->granted_at_us);
+  const LockTable::Release released = table_.apply_release(msg);
+  if (!released.applied) return;  // stale, e.g. after a broken lease
+  const std::int64_t now_us = Clock::monotonic().now_us();
+  if (const auto& hold = released.hold) {
+    reactor_.cancel(hold->lease_timer);
+    tm_hold_us_->record(now_us - hold->granted_at_us);
     FlightRecorder::record(trace::EventKind::kLockReleased, endpoint_.node(),
                            msg.site, msg.lock_id, msg.new_version,
-                           active_it->nonce);
-    lock.active.erase(active_it);
+                           hold->nonce);
     --active_leases_;
-  } else {
-    bool blacklisted = false;
-    {
-      util::MutexLock guard(mu_);
-      blacklisted = blacklist_.contains(msg.site);
-    }
-    if (!lock.active.empty() || blacklisted) {
-      // Stale release — e.g. from an owner whose lock was already broken.
-      return;
-    }
-  }
-
-  if (msg.mode == LockWireMode::kExclusive) {
-    lock.version = msg.new_version;
-    lock.last_owner = msg.site;
-    lock.last_owner_data_port = data_port;
-    lock.up_to_date.clear();
-    lock.up_to_date.insert(msg.up_to_date.begin(), msg.up_to_date.end());
-  } else {
-    // A reader received (or already had) the current version.
-    lock.up_to_date.insert(msg.site);
   }
   tm_releases_->add();
-  grant_from_queue(lock);
+  grant_waiters(msg.lock_id, now_us);
   publish_gauges();
 }
 
 void LockServer::on_lease_expired(replica::LockId lock_id, std::uint32_t site,
                                   std::uint64_t nonce) {
-  auto it = locks_.find(lock_id);
-  if (it == locks_.end()) return;
-  LockState& lock = it->second;
-  auto active_it = std::find_if(
-      lock.active.begin(), lock.active.end(), [&](const Request& r) {
-        return r.site == site && r.nonce == nonce;
-      });
-  if (active_it == lock.active.end()) return;  // released before we fired
-
   // §4, failure of a lock-owning thread. The sim service confirms with a
   // daemon heartbeat first; the live runtime has no heartbeat path yet, so
   // an expired lease breaks the lock directly.
-  lock.active.erase(active_it);
+  if (!table_.break_hold(lock_id, site, nonce)) return;  // released first
   --active_leases_;
-  lock.holders.erase(site);
-  lock.up_to_date.erase(site);
-  blacklist_site(site);
   tm_lease_breaks_->add();
   FlightRecorder::record(trace::EventKind::kLockBroken, endpoint_.node(),
                          site, lock_id, 0, nonce);
   MOCHA_INFO("live") << "lock " << lock_id << " broken: site " << site
                      << " exceeded its lease; site blacklisted";
-  grant_from_queue(lock);
+  grant_waiters(lock_id, Clock::monotonic().now_us());
   publish_gauges();
-}
-
-void LockServer::blacklist_site(std::uint32_t site) {
-  {
-    util::MutexLock guard(mu_);
-    blacklist_.insert(site);
-  }
-  if (opts_.blacklist_ttl_us > 0) {
-    reactor_.call_after(opts_.blacklist_ttl_us, [this, site] {
-      util::MutexLock guard(mu_);
-      blacklist_.erase(site);
-    });
-  }
 }
 
 }  // namespace mocha::live

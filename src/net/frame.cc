@@ -108,7 +108,7 @@ AckFrame decode_ack_frame(util::WireReader& reader) {
 NackFrame decode_nack_frame(util::WireReader& reader) {
   NackFrame nack;
   nack.seq = reader.u64();
-  const std::uint32_t n = reader.u32();
+  const std::uint32_t n = reader.count(sizeof(std::uint32_t));
   nack.missing.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) nack.missing.push_back(reader.u32());
   return nack;

@@ -8,21 +8,19 @@
 //   - lock-lease expiry -> heartbeat the owner's daemon; on silence, break
 //     the lock, blacklist the owner, and grant to the next requester.
 //
-// Lock modes: exclusive (the paper's default) and shared. Grant policy is
-// strict FIFO with shared batching: the head of the wait queue is granted;
-// while it is shared, consecutive shared requests behind it are granted too
-// (so writers are never starved by later readers). Shared holders do not
-// advance the version; each becomes a member of the up-to-date set.
+// The lock directory itself is replica::LockTable, which the live lock
+// server drives too; this service decodes, calls it, and does the sends,
+// the lease scan with heartbeats, poll-and-redirect, the log and tracing.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
-#include <vector>
+#include <string>
 
 #include "net/mochanet.h"
+#include "replica/lock_table.h"
 #include "replica/sync_log.h"
 #include "replica/wire.h"
 #include "runtime/system.h"
@@ -30,8 +28,6 @@
 namespace mocha::replica {
 
 class ReplicaSystem;
-
-enum class LockMode : std::uint8_t { kExclusive = 0, kShared = 1 };
 
 class SyncService {
  public:
@@ -46,36 +42,14 @@ class SyncService {
   std::uint64_t failures_detected() const { return failures_detected_; }
   std::uint64_t stale_forwards() const { return stale_forwards_; }
   bool is_blacklisted(runtime::SiteId site) const {
-    return blacklist_.contains(site);
+    return table_.blacklist().contains(site);
   }
 
  private:
-  struct Request {
-    LockId lock_id = 0;
-    runtime::SiteId site = 0;
-    net::Port grant_port = 0;
-    net::Port data_port = 0;
-    sim::Duration expected_hold = 0;
-    LockMode mode = LockMode::kExclusive;
-    // Echoed in the GRANT so clients can discard stale grants from a
-    // previous sync incarnation or a timed-out earlier request.
-    std::uint64_t nonce = 0;
-    sim::Time lease_deadline = 0;  // set when the request becomes active
-  };
+  using Request = LockTable::Request;
+  using LockState = LockTable::LockState;
 
-  struct LockState {
-    LockId id = 0;
-    std::vector<Request> active;  // current holders (readers, or one writer)
-    std::deque<Request> waiting;
-    Version version = 0;
-    std::optional<runtime::SiteId> last_owner;  // last *writer*
-    std::set<runtime::SiteId> up_to_date;  // sites holding `version`
-    std::set<runtime::SiteId> holders;     // registered replica holders
-    bool has_active_exclusive() const {
-      return active.size() == 1 && active.front().mode == LockMode::kExclusive;
-    }
-  };
-
+  std::int64_t now_us() const;  // virtual time, as the table's clock
   void restore_from_log();
   void log_lock(const LockState& lock);
   void log_replica(const std::string& name);
@@ -90,15 +64,11 @@ class SyncService {
   void handle_release(util::WireReader& reader);
   void handle_publish_cached(util::WireReader& reader);
   void handle_refresh_cached(util::WireReader& reader);
-  // Grants the queue head; when it is shared, also grants the consecutive
-  // run of shared requests behind it.
-  void grant_from_queue(LockState& lock);
-  void activate(LockState& lock, Request req);
-  // `transfer_from` names the site whose daemon will source the replica for
-  // a kNeedNewVersion grant (0 = none; live clients pull from it).
-  void send_grant(const Request& req, Version version, GrantFlag flag,
-                  const std::vector<runtime::SiteId>& holders,
-                  runtime::SiteId transfer_from = 0);
+  // Sends every grant the table admits for `lock_id`, each followed by its
+  // transfer directive when the requester needs a new version.
+  void grant_waiters(LockId lock_id);
+  void send_grant(runtime::SiteId site, net::Port grant_port,
+                  const GrantMsg& grant);
   // One TRANSFER_REPLICA directive to `owner`'s daemon for `req` (shared by
   // the grant path and the poll-redirect path).
   util::Status send_transfer_directive(const LockState& lock,
@@ -112,15 +82,14 @@ class SyncService {
   // and direct the best one to transfer.
   void poll_and_redirect(LockState& lock, const Request& req);
   void scan_leases();
-  void break_lock(LockState& lock, std::size_t active_index);
+  void break_lock(const Request& dead);
 
   ReplicaSystem& system_;
   runtime::SiteId site_;
   net::MochaNetEndpoint* endpoint_ = nullptr;  // endpoint of site_
-  std::map<LockId, LockState> locks_;
+  LockTable table_;
   std::map<std::string, ReplicaDirectoryEntry> replicas_;
   std::map<std::string, SyncStateLog::CachedRecord> cached_;  // §7 directory
-  std::set<runtime::SiteId> blacklist_;
   std::deque<net::MochaNetEndpoint::Message> stash_;
 
   std::uint64_t grants_ = 0;

@@ -116,7 +116,8 @@ enum class LockWireMode : std::uint8_t { kExclusive = 0, kShared = 1 };
 // LockServer/LockClient pair — speak exactly these bytes; there is one
 // encoder/decoder per message, here. encode() writes the message including
 // its type byte; decode() assumes the dispatcher consumed the type byte.
-// Decoders throw util::CodecError on truncated input.
+// Decoders throw util::CodecError on truncated input, and on a list count
+// larger than the rest of the input could hold.
 
 // kAcquireLock: thread -> synchronization thread.
 struct AcquireLockMsg {
@@ -177,7 +178,7 @@ struct ReleaseLockMsg {
     msg.lock_id = reader.u32();
     msg.site = reader.u32();
     msg.new_version = reader.u64();
-    const std::uint32_t n = reader.u32();
+    const std::uint32_t n = reader.count(sizeof(std::uint32_t));
     msg.up_to_date.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) msg.up_to_date.push_back(reader.u32());
     msg.mode = static_cast<LockWireMode>(reader.u8());
@@ -233,7 +234,7 @@ struct GrantMsg {
     msg.version = reader.u64();
     msg.flag = static_cast<GrantFlag>(reader.u8());
     msg.transfer_from = reader.u32();
-    const std::uint32_t n = reader.u32();
+    const std::uint32_t n = reader.count(sizeof(std::uint32_t));
     msg.holders.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) msg.holders.push_back(reader.u32());
     return msg;
@@ -365,6 +366,7 @@ struct ShardMapReplyMsg {
     std::uint32_t ipv4 = 0;    // network byte order; 0 = not advertised
     std::uint16_t udp_port = 0;
   };
+  static constexpr std::size_t kEntryWireBytes = 4 + 4 + 4 + 2;
   std::vector<Entry> shards;
 
   void encode(util::Buffer& out) const {
@@ -380,7 +382,7 @@ struct ShardMapReplyMsg {
   }
   static ShardMapReplyMsg decode(util::WireReader& reader) {
     ShardMapReplyMsg msg;
-    const std::uint32_t count = reader.u32();
+    const std::uint32_t count = reader.count(kEntryWireBytes);
     msg.shards.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       Entry entry;
@@ -516,16 +518,13 @@ struct StatsReplyMsg {
     }
   }
   static StatsReplyMsg decode(util::WireReader& reader) {
-    // Reserve caps: counts come off the wire, so never pre-size more than a
-    // sane snapshot could hold — truncated input throws before the loop
-    // runs away anyway.
-    constexpr std::uint32_t kReserveCap = 4096;
     StatsReplyMsg msg;
     msg.probe_nonce = reader.u64();
     msg.shard_id = reader.u32();
     msg.wall_us = reader.i64();
-    const std::uint32_t n_metrics = reader.u32();
-    msg.metrics.reserve(std::min(n_metrics, kReserveCap));
+    // Smallest wire entries: an empty name plus the fixed fields.
+    const std::uint32_t n_metrics = reader.count(4 + 1 + 8);
+    msg.metrics.reserve(n_metrics);
     for (std::uint32_t i = 0; i < n_metrics; ++i) {
       Metric m;
       m.name = reader.str();
@@ -533,15 +532,15 @@ struct StatsReplyMsg {
       m.value = reader.i64();
       msg.metrics.push_back(std::move(m));
     }
-    const std::uint32_t n_hists = reader.u32();
-    msg.hists.reserve(std::min(n_hists, kReserveCap));
+    const std::uint32_t n_hists = reader.count(4 + 8 + 8 + 4);
+    msg.hists.reserve(n_hists);
     for (std::uint32_t i = 0; i < n_hists; ++i) {
       Hist h;
       h.name = reader.str();
       h.count = reader.u64();
       h.sum = reader.u64();
-      const std::uint32_t n_buckets = reader.u32();
-      h.buckets.reserve(std::min(n_buckets, kReserveCap));
+      const std::uint32_t n_buckets = reader.count(sizeof(std::uint64_t));
+      h.buckets.reserve(n_buckets);
       for (std::uint32_t b = 0; b < n_buckets; ++b) {
         h.buckets.push_back(reader.u64());
       }

@@ -71,14 +71,14 @@ Value decode_value(util::WireReader& in) {
     case Tag::kBytes:
       return in.bytes();
     case Tag::kI32Array: {
-      std::uint32_t n = in.u32();
+      const std::uint32_t n = in.count(sizeof(std::int32_t));
       std::vector<std::int32_t> v;
       v.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) v.push_back(in.i32());
       return v;
     }
     case Tag::kF64Array: {
-      std::uint32_t n = in.u32();
+      const std::uint32_t n = in.count(sizeof(double));
       std::vector<double> v;
       v.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) v.push_back(in.f64());

@@ -134,6 +134,17 @@ class WireReader {
     return out;
   }
 
+  // Reads the u32 element count of a list whose elements take `elem_bytes`
+  // each on the wire. Throws when the rest of the input cannot hold that
+  // many, so a forged count never sizes an allocation.
+  std::uint32_t count(std::size_t elem_bytes) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / elem_bytes) {
+      throw CodecError("wire count " + std::to_string(n) + " past end");
+    }
+    return n;
+  }
+
   std::size_t remaining() const { return in_.size() - pos_; }
   bool at_end() const { return pos_ == in_.size(); }
 

@@ -459,6 +459,68 @@ TEST(LockWireCodec, TruncatedLockMessagesThrow) {
   EXPECT_THROW(replica::GrantMsg::decode(reader), util::CodecError);
 }
 
+// A list count comes off the wire, so a forged one must fail as a
+// CodecError (which every receive loop catches) before it sizes any
+// allocation: the count is checked against the bytes actually left.
+// Overwrites the u32 at `offset` of `wire` with 0xFFFFFFFF.
+void forge_count(util::Buffer& wire, std::size_t offset) {
+  ASSERT_LE(offset + 4, wire.size());
+  for (std::size_t i = 0; i < 4; ++i) wire[offset + i] = 0xff;
+}
+
+TEST(LockWireCodec, ForgedReleaseUpToDateCountThrows) {
+  replica::ReleaseLockMsg msg;
+  msg.up_to_date = {1, 2};
+  util::Buffer wire;
+  msg.encode(wire);
+  forge_count(wire, 1 + 4 + 4 + 8);  // type, lock, site, new_version
+  util::WireReader reader(wire);
+  ASSERT_EQ(reader.u8(), replica::kReleaseLock);
+  EXPECT_THROW(replica::ReleaseLockMsg::decode(reader), util::CodecError);
+}
+
+TEST(LockWireCodec, ForgedGrantHolderCountThrows) {
+  replica::GrantMsg msg;
+  msg.holders = {1, 2, 3};
+  util::Buffer wire;
+  msg.encode(wire);
+  forge_count(wire, 1 + 4 + 8 + 8 + 1 + 4);  // ... flag, transfer_from
+  util::WireReader reader(wire);
+  ASSERT_EQ(reader.u8(), replica::kGrant);
+  EXPECT_THROW(replica::GrantMsg::decode(reader), util::CodecError);
+}
+
+TEST(LockWireCodec, ForgedShardMapCountThrows) {
+  replica::ShardMapReplyMsg msg;
+  msg.shards.push_back({1, 1001, 0x0100007f, 9001});
+  util::Buffer wire;
+  msg.encode(wire);
+  forge_count(wire, 1);
+  util::WireReader reader(wire);
+  ASSERT_EQ(reader.u8(), replica::kShardMapReply);
+  EXPECT_THROW(replica::ShardMapReplyMsg::decode(reader), util::CodecError);
+}
+
+TEST(LockWireCodec, CountThatFitsExactlyDecodes) {
+  replica::ReleaseLockMsg msg;
+  msg.up_to_date = {7};
+  util::Buffer wire;
+  msg.encode(wire);
+  util::WireReader reader(wire);
+  ASSERT_EQ(reader.u8(), replica::kReleaseLock);
+  EXPECT_EQ(replica::ReleaseLockMsg::decode(reader).up_to_date,
+            (std::vector<std::uint32_t>{7}));
+}
+
+TEST(FrameCodec, ForgedNackCountThrows) {
+  util::Buffer wire;
+  encode_nack_frame(wire, NackFrame{.seq = 9, .missing = {0, 4}});
+  forge_count(wire, 1 + 8);  // frame type, seq
+  util::WireReader reader(wire);
+  ASSERT_EQ(decode_frame_type(reader), FrameType::kNack);
+  EXPECT_THROW(decode_nack_frame(reader), util::CodecError);
+}
+
 // MsgType values must be distinct: kGrant once collided with kRefreshCached
 // at value 20, masked only because the two messages ride different logical
 // ports. tools/lint_protocol.py now guards the whole enum; this pins the

@@ -470,5 +470,36 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
   EXPECT_GT(json_int(bench, "value"), 0);  // first metric (p50, us)
 }
 
+// A RELEASE whose up-to-date count claims 2^32-1 entries is dropped as
+// malformed; it must not take the shard's reactor thread down. The forged
+// datagram is sent first, so per-source in-order delivery has the server
+// decode it before the acquire that follows.
+TEST(LiveTransfer, ForgedReleaseCountLeavesServerServing) {
+  Endpoint server_ep(kServer, 0);
+  LockServer server(server_ep);
+  server.start();
+
+  Endpoint client_ep(2, 0);
+  client_ep.add_peer(kServer, "127.0.0.1", server_ep.udp_port());
+  LockClient client(client_ep, kServer, scaled_options());
+
+  replica::ReleaseLockMsg forged;
+  forged.lock_id = kLock;
+  forged.site = 2;
+  util::Buffer wire;
+  forged.encode(wire);
+  const std::size_t count_at = 1 + 4 + 4 + 8;  // type, lock, site, version
+  for (std::size_t i = 0; i < 4; ++i) wire[count_at + i] = 0xff;
+  ASSERT_TRUE(client_ep
+                  .send_sync(kServer, replica::kSyncPort, std::move(wire),
+                             2'000'000LL * time_scale())
+                  .is_ok());
+
+  ASSERT_TRUE(client.acquire(kLock).is_ok());
+  ASSERT_TRUE(client.release(kLock).is_ok());
+
+  server.stop();
+}
+
 }  // namespace
 }  // namespace mocha::live

@@ -53,6 +53,20 @@ TEST(Value, GarbageTagThrows) {
   EXPECT_THROW(decode_value(reader), util::CodecError);
 }
 
+// An array count comes off the wire: one larger than the bytes left must
+// fail as a CodecError before it sizes an allocation.
+TEST(Value, ForgedArrayCountThrows) {
+  for (const Value& v : {Value{std::vector<std::int32_t>{1, 2}},
+                         Value{std::vector<double>{0.5}}}) {
+    util::Buffer buf;
+    util::WireWriter writer(buf);
+    encode_value(writer, v);
+    for (std::size_t i = 1; i < 5; ++i) buf[i] = 0xff;  // after the tag
+    util::WireReader reader(buf);
+    EXPECT_THROW(decode_value(reader), util::CodecError);
+  }
+}
+
 TEST(CostModel, Jdk11GrowsLinearly) {
   MarshalCostModel model = MarshalCostModel::jdk11();
   // Fig 8 anchor: ~1 us/byte + ~1 ms fixed => 256K costs ~263 ms.

@@ -63,12 +63,16 @@ import bisect
 import os
 import re
 import sys
+import tempfile
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 # Directories whose functions participate in the reactor checks (1, 3).
 LIVE_DIRS = ("src/live",)
+# The sans-I/O lock directory outside src/live that every lock-server
+# reactor handler calls into: a blocking call there blocks the reactor.
+LIVE_EXTRA_FILES = ("src/replica/lock_table.h", "src/replica/lock_table.cc")
 # Files whose raw byte handling is policed by check 2.
 WIRE_DIRS = ("src/live", "src/net", "src/replica")
 WIRE_EXTRA_FILES = ("src/util/buffer.h",)
@@ -876,6 +880,8 @@ def collect_tree_files(root):
             for n in sorted(names):
                 if n.endswith((".h", ".cc", ".cpp", ".hpp")):
                     wire.append(os.path.join(dirpath, n))
+    for f in LIVE_EXTRA_FILES:
+        live.append(os.path.join(root, f))
     for f in WIRE_EXTRA_FILES:
         wire.append(os.path.join(root, f))
     return live, wire
@@ -926,6 +932,33 @@ FIXTURE_EXPECT = {
 }
 
 
+def self_test_planted_table_block():
+    """Plants a blocking call in a copy of the lock table and checks that the
+    tree run flags it through the lock server's reactor handlers."""
+    live, wire = collect_tree_files(REPO_ROOT)
+    target = os.path.join(REPO_ROOT, "src/replica/lock_table.cc")
+    with open(target, "r", encoding="utf-8") as f:
+        text = f.read()
+    m = re.search(r"LockTable::grant_next\s*\([^)]*\)\s*\{", text)
+    if m is None:
+        return [f"planted-table: no LockTable::grant_next body in {target}"]
+    planted = text[:m.end()] + "\n  ::usleep(1000);" + text[m.end():]
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = os.path.join(tmp, "lock_table.cc")
+        with open(copy, "w", encoding="utf-8") as f:
+            f.write(planted)
+        swap = lambda paths: [copy if p == target else p for p in paths]
+        model = build_model_text(swap(live), swap(wire))
+        hits = [f for f in run_checks(model, with_wire=False)
+                if f.check == "reactor-blocking" and f.file == copy]
+    status = "ok" if hits else "FAIL"
+    print(f"  {'planted-table':<18} {status}  (reactor-blocking={len(hits)})")
+    if not hits:
+        return ["planted-table: a blocking call in LockTable::grant_next "
+                "was not flagged from reactor context"]
+    return []
+
+
 def self_test(args):
     failures = []
     for fixture, expect in sorted(FIXTURE_EXPECT.items()):
@@ -953,6 +986,7 @@ def self_test(args):
             else "FAIL"
         print(f"  {fixture:<18} {status}  "
               f"({', '.join(f'{k}={v}' for k, v in sorted(got.items())) or 'clean'})")
+    failures.extend(self_test_planted_table_block())
     if failures:
         print("mocha-analyze self-test: FAIL")
         for f in failures:
